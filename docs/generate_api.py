@@ -103,21 +103,23 @@ The tree variant is purely a config string (``"static"``, ``"pruned"``,
 
 ### Serving traffic: the `repro.service` subsystem
 
-For concurrent request streams, wrap the engine in a sharded
-`BloomService` (micro-batching scheduler + admission control + metrics;
-see `docs/service.md`):
+For concurrent request streams, serve a compiled engine from a pool of
+worker processes (micro-batching + admission control + metrics; see
+`docs/service.md`):
 
 ```python
-from repro.service import BloomService
+from repro.service import ProcessService, ProcessShardPool
 
-svc = BloomService.plan(namespace_size=1_000_000, shards=4, seed=7)
-svc.add_set("community_7", ids)
-with svc:
+db = BloomDB.plan(namespace_size=1_000_000, seed=7, plan="compiled")
+db.add_set("community_7", ids)
+pool = ProcessShardPool.from_engine(db, "serving_dir", workers=2)
+with ProcessService(pool) as svc:
     svc.sample("community_7", r=8, seed=11)   # bit-identical to BloomDB
-    svc.stats()                               # latency/batch histograms
+    svc.stats()                               # fleet metrics snapshot
+pool.close()
 ```
 
-The same service backs the ``repro serve`` HTTP endpoint.
+The same pool backs the ``repro serve --workers N`` HTTP endpoint.
 
 ### Migration from the legacy flat API
 

@@ -26,7 +26,6 @@ from repro.api.engine import (
     BloomDB,
     DurabilityError,
     EngineEpoch,
-    SharedEpochs,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "EngineConfig",
     "EngineEpoch",
     "SampleSpec",
-    "SharedEpochs",
 ]

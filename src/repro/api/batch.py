@@ -29,8 +29,8 @@ class SampleSpec:
     result is a pure function of (engine, spec) — independent of batch
     composition, request ordering, and whatever else shares the engine's
     default stream.  That independence is what lets the serving layer's
-    micro-batching scheduler coalesce concurrent requests while staying
-    bit-identical to direct calls (see :mod:`repro.service`).
+    worker processes coalesce concurrent requests into batches while
+    staying bit-identical to direct calls (see :mod:`repro.service`).
 
     ``key`` names the request inside the :class:`BatchReport` (default:
     ``"<index>:<name>"``); :meth:`BatchReport.ordered` returns results in

@@ -100,13 +100,6 @@ class DurabilityError(RuntimeError):
     """
 
 
-#: Sentinel returned by :meth:`BloomDB.prepare_occupancy` when the
-#: mutation requires no epoch publication (nothing was published yet, or
-#: the ids changed nothing).  Distinct from ``None``, which means
-#: "clear the published cell" (``mutation="invalidate"``).
-NO_EPOCH_CHANGE = object()
-
-
 @dataclass(frozen=True)
 class EngineEpoch:
     """One immutable snapshot of an engine's compiled read state.
@@ -114,8 +107,8 @@ class EngineEpoch:
     ``epoch`` is a per-engine monotonic id; ``plan`` the compiled base
     snapshot; ``delta`` the sparse mutation overlay accumulated since
     that base was compiled (``None`` right after a compile/compaction).
-    Epochs are published by a single atomic reference swap
-    (:class:`SharedEpochs`), so a reader that grabbed an epoch keeps a
+    Epochs are published by a single atomic reference swap (one
+    attribute store), so a reader that grabbed an epoch keeps a
     consistent ``base ⊕ delta`` for its whole batch no matter how many
     writers publish behind it.
     """
@@ -134,52 +127,6 @@ class EngineEpoch:
     def delta_density(self) -> float:
         """Dirty-node fraction of the overlay (0.0 for a clean epoch)."""
         return 0.0 if self.delta is None else self.delta.density
-
-
-class SharedEpochs:
-    """Atomic publication cells for one engine — or one shard ring.
-
-    Holds a tuple of :class:`EngineEpoch` references (one per engine).
-    Readers call :meth:`current` / :meth:`snapshot`, which are single
-    reference reads — no lock, no wait.  Writers replace the whole tuple
-    under a short internal lock; :meth:`publish_many` swaps several
-    cells in *one* replacement, which is how a
-    :class:`~repro.service.ShardedEnginePool` moves every shard to the
-    next epoch atomically ring-wide.
-    """
-
-    def __init__(self, size: int = 1):
-        if size <= 0:
-            raise ValueError("need at least one epoch cell")
-        self._cells: tuple = (None,) * size
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def current(self, index: int = 0) -> EngineEpoch | None:
-        """The epoch published at ``index`` (one atomic reference read)."""
-        return self._cells[index]
-
-    def snapshot(self) -> tuple:
-        """Every cell, as one consistent tuple (one reference read)."""
-        return self._cells
-
-    def publish(self, index: int, epoch: EngineEpoch | None) -> None:
-        """Swap one cell (``None`` un-publishes: readers recompile)."""
-        with self._lock:
-            cells = list(self._cells)
-            cells[index] = epoch
-            self._cells = tuple(cells)
-
-    def publish_many(self, updates: Iterable[tuple[int, EngineEpoch | None]],
-                     ) -> None:
-        """Swap several cells in one atomic tuple replacement."""
-        with self._lock:
-            cells = list(self._cells)
-            for index, epoch in updates:
-                cells[index] = epoch
-            self._cells = tuple(cells)
 
 
 class BloomDB:
@@ -203,8 +150,6 @@ class BloomDB:
         store: FilterStore | None = None,
         occupied=None,
         compiled: CompiledTree | None = None,
-        epochs: SharedEpochs | None = None,
-        epoch_index: int = 0,
     ):
         self.config = config
         self.params = params if params is not None else config.parameters()
@@ -217,11 +162,9 @@ class BloomDB:
         # (and its warmed caches) instead of recompiling identical bits.
         self._plan_dirty = False
         self._plan_lock = threading.RLock()
-        # Epoch publication: a pool passes a ring-shared SharedEpochs so
-        # all shards can be swapped to the next epoch atomically;
-        # standalone engines own a single cell.
-        self._epochs = epochs if epochs is not None else SharedEpochs(1)
-        self._epoch_index = int(epoch_index)
+        # The published epoch: readers take one attribute load, writers
+        # replace it (under the plan lock) with one attribute store.
+        self._epoch: EngineEpoch | None = None
         self._epoch_counter = 0
         # Durability: a WriteAheadLog attached via attach_wal journals
         # every mutation before its epoch publishes; recovery replay
@@ -229,8 +172,8 @@ class BloomDB:
         self._wal = None
         self._wal_dir: pathlib.Path | None = None
         self._durability_suspended = False
-        # ``tree`` may be a backend instance, a zero-arg factory (shared
-        # lazy materialisation across pool shards), or None — in which
+        # ``tree`` may be a backend instance, a zero-arg factory (lazy
+        # materialisation shared with the store), or None — in which
         # case the tree is materialised from the compiled plan when one
         # was given, or built eagerly as before.
         self._tree: TreeBackend | None = None
@@ -306,16 +249,16 @@ class BloomDB:
         plan lock is only ever taken to compile the very first plan (or
         by writers), so concurrent ``sample_many`` calls never contend.
         """
-        epoch = self._epochs.current(self._epoch_index)
+        epoch = self._epoch
         if epoch is None:
             with self._plan_lock:
-                epoch = self._epochs.current(self._epoch_index)
+                epoch = self._epoch
                 if epoch is None:
                     if self._compiled is None:
                         self._compiled = CompiledTree.from_tree(self.tree)
                         self._plan_dirty = False
                     epoch = self._next_epoch(self._compiled, None)
-                    self._epochs.publish(self._epoch_index, epoch)
+                    self._epoch = epoch
         return epoch
 
     def _next_epoch(self, plan: CompiledTree,
@@ -403,45 +346,26 @@ class BloomDB:
         if epoch < 1:
             raise ValueError("epoch ids start at 1")
         with self._plan_lock:
-            if self._epochs.current(self._epoch_index) is not None:
+            if self._epoch is not None:
                 raise RuntimeError(
                     "cannot restore the epoch counter after an epoch was "
                     "published")
             self._epoch_counter = int(epoch) - 1
 
-    def bind_epochs(self, epochs: SharedEpochs, epoch_index: int) -> None:
-        """Re-home this engine's publication cell into a shared ring.
-
-        Used when assembling a :class:`~repro.service.ShardedEnginePool`
-        from independently recovered shard engines: the engine's current
-        epoch (if any) is re-published into its cell of the ring-shared
-        :class:`SharedEpochs`, so ring snapshots see it immediately.
-        """
-        with self._plan_lock:
-            current = self._epochs.current(self._epoch_index)
-            self._epochs = epochs
-            self._epoch_index = int(epoch_index)
-            if current is not None:
-                epochs.publish(self._epoch_index, current)
-
-    def prepare_occupancy(self, kind: str, ids):
-        """Apply an occupancy mutation; build — but do not publish — the
-        next cell value.
+    def _apply_occupancy(self, kind: str, ids) -> None:
+        """Apply an occupancy mutation and publish the next epoch.
 
         ``kind`` is ``"insert"`` or ``"retire"``.  The object tree is
-        mutated immediately (it is the authoritative state); the
-        returned value must then be handed to the epoch cell by the
-        caller — :meth:`insert_ids` / :meth:`retire_ids` publish it
-        directly, while
-        :meth:`repro.service.ShardedEnginePool.apply_occupancy` collects
-        one value per shard and publishes them all in a single atomic
-        swap (this is why even the ``mutation="invalidate"`` clear is
-        returned rather than applied here).  Returns an
-        :class:`EngineEpoch` (the extended delta overlay, or a fresh
-        recompile when the overlay cannot express the change), ``None``
-        (clear the cell: ``mutation="invalidate"``), or
-        :data:`NO_EPOCH_CHANGE` (nothing to publish: no epoch exists
-        yet, or the ids changed nothing).
+        mutated first (it is the authoritative state); the next epoch
+        extends the published delta overlay, or is a fresh recompile
+        when the overlay cannot express the change or has grown past
+        ``compact_threshold``.  With ``mutation="invalidate"`` the epoch
+        is cleared instead and the next reader recompiles.
+
+        The (re-entrant) plan lock is held from the tree mutation to the
+        publication: two concurrent writers must not both extend the
+        same predecessor epoch, or the later publish would silently drop
+        the other's paths.
         """
         if kind not in ("insert", "retire"):
             raise ValueError(f"unknown occupancy mutation {kind!r}")
@@ -456,22 +380,23 @@ class BloomDB:
                 if occupied is not None and occupied.size:
                     ids = ids[~np.isin(ids, occupied)]
                 if ids.size == 0:
-                    return NO_EPOCH_CHANGE
+                    return
                 self.tree.insert_many(ids)
             else:
                 if ids.size == 0:
-                    return NO_EPOCH_CHANGE
+                    return
                 self.tree.remove_many(ids)
             self._plan_dirty = True
-            current = self._epochs.current(self._epoch_index)
+            current = self._epoch
             if current is None:
                 # Nothing published: drop any stale pre-epoch plan and
                 # let the next reader compile from the mutated tree.
                 self._compiled = None
-                return NO_EPOCH_CHANGE
+                return
             if self.config.mutation == "invalidate":
                 self._compiled = None
-                return None
+                self._epoch = None
+                return
             delta = (current.delta if current.delta is not None
                      else PlanDelta(current.plan))
             try:
@@ -480,59 +405,30 @@ class BloomDB:
             except DeltaCompactionNeeded:
                 # Structural change the overlay cannot express (tree
                 # emptied / base held no nodes): recompile outright.
-                self._compiled = CompiledTree.from_tree(self.tree)
-                self._plan_dirty = False
-                epoch = self._next_epoch(self._compiled, None)
+                epoch = self._next_epoch(self._recompile(), None)
             else:
                 if (epoch.delta.density >= self.config.compact_threshold
                         or epoch.delta.chain_length >= MAX_EPOCH_CHAIN):
-                    # Fold the overlay *before* publication, so the
-                    # caller still promotes the mutation and its
-                    # compaction in one swap.  The chain-length bound
-                    # catches churn that keeps re-dirtying the same hot
-                    # slots, which density alone never would.
-                    epoch = self.prepare_compact()
+                    # Fold the overlay *before* publication, so readers
+                    # see the mutation and its compaction in one swap.
+                    # The chain-length bound catches churn that keeps
+                    # re-dirtying the same hot slots, which density
+                    # alone never would.
+                    RUNTIME.inc("compactions")
+                    epoch = self._next_epoch(self._recompile(), None)
             # Journal the *effective* ids (deduped, already-occupied
             # inserts dropped) stamped with the epoch about to publish —
             # write-ahead: the record is on its way to disk before any
             # reader can observe the mutation.  Replay re-derives the
             # same epoch id deterministically, which recovery checks.
             self._journal(kind, ids, epoch.epoch)
-            return epoch
+            self._epoch = epoch
 
-    def prepare_compact(self) -> EngineEpoch:
-        """Build — but do not publish — a compacted epoch.
-
-        The pool-facing half of :meth:`compact`: the fresh base plan is
-        compiled here, publication stays with the caller so a ring can
-        promote every shard in one swap.  A no-op compaction (nothing
-        accumulated since the last compile) reuses the published base
-        plan object outright, keeping its warmed candidate/position/
-        frontier caches instead of cold-starting them.
-        """
-        with self._plan_lock:
-            if self._compiled is not None and not self._plan_dirty:
-                RUNTIME.inc("compactions_noop")
-                return self._next_epoch(self._compiled, None)
-            fresh = CompiledTree.from_tree(self.tree)
-            self._compiled = fresh
-            self._plan_dirty = False
-            RUNTIME.inc("compactions")
-            return self._next_epoch(fresh, None)
-
-    def _apply_occupancy(self, kind: str, ids) -> None:
-        """The single-engine mutation path: prepare, then one swap.
-
-        The (re-entrant) plan lock is held across prepare *and* publish:
-        two concurrent direct writers must not both extend the same
-        predecessor epoch, or the last publish would silently drop the
-        other's paths.  (The pool path serialises writers under its own
-        write lock for the same reason.)
-        """
-        with self._plan_lock:
-            epoch = self.prepare_occupancy(kind, ids)
-            if epoch is not NO_EPOCH_CHANGE:
-                self._epochs.publish(self._epoch_index, epoch)
+    def _recompile(self) -> CompiledTree:
+        """Compile a fresh base plan from the live tree (plan lock held)."""
+        self._compiled = CompiledTree.from_tree(self.tree)
+        self._plan_dirty = False
+        return self._compiled
 
     def compact(self, path=None) -> CompiledTree:
         """Fold the published delta into a fresh base plan.
@@ -569,8 +465,7 @@ class BloomDB:
                 # object — and with it every warmed candidate/position/
                 # frontier cache — rather than cold-missing readers.
                 RUNTIME.inc("compactions_noop")
-                self._epochs.publish(self._epoch_index,
-                                     self._next_epoch(self._compiled, None))
+                self._epoch = self._next_epoch(self._compiled, None)
                 return self._compiled
             fresh = CompiledTree.from_tree(self.tree)
             if path is not None:
@@ -584,8 +479,7 @@ class BloomDB:
             self._compiled = fresh
             self._plan_dirty = False
             RUNTIME.inc("compactions")
-            self._epochs.publish(self._epoch_index,
-                                 self._next_epoch(fresh, None))
+            self._epoch = self._next_epoch(fresh, None)
             return fresh
 
     def checkpoint(self) -> dict:
@@ -630,7 +524,7 @@ class BloomDB:
             self._plan_dirty = False
             epoch = self._next_epoch(fresh, None)
             assert epoch.epoch == promote_at
-            self._epochs.publish(self._epoch_index, epoch)
+            self._epoch = epoch
             removed = self._wal.truncate(epoch.epoch)
             RUNTIME.inc("checkpoints")
             record_stage("checkpoint", time.perf_counter() - started)
@@ -723,9 +617,9 @@ class BloomDB:
         """Apply a store-only set mutation, journalled on durable engines.
 
         ``op`` is ``"add_set"`` (create) or ``"extend_set"`` (insert
-        into an existing filter).  This is the single entry point the
-        engine, the pool and the shard workers use, so durable engines
-        journal set content no matter which layer mutated it.  The
+        into an existing filter).  :meth:`add_set` and
+        :meth:`extend_set` both come through here, so durable engines
+        journal set content whichever entry point mutated it.  The
         record carries no epoch contract (set content does not publish
         epochs); replay applies it idempotently — create replaces,
         extend ORs into the filter.
@@ -738,7 +632,7 @@ class BloomDB:
             self.store.add(name, ids)
         else:
             raise ValueError(f"unknown set mutation {op!r}")
-        current = self._epochs.current(self._epoch_index)
+        current = self._epoch
         self._journal(op, ids, 0 if current is None else current.epoch,
                       name=str(name))
 
@@ -918,41 +812,6 @@ class BloomDB:
         """The registry entry of the configured tree backend."""
         return self._spec
 
-    def spawn_shard(self, *, epochs: SharedEpochs | None = None,
-                    epoch_index: int = 0) -> "BloomDB":
-        """A fresh-store engine over this engine's built components.
-
-        The serving pool uses this instead of rebuilding per shard:
-        static trees (immutable at serve time) are physically shared —
-        including the compiled plan, so N shards map one read-only copy —
-        while occupancy-tracking backends get an independent writable
-        tree, materialised from the compiled plan when one exists
-        (skipping the re-hash of every occupied id) and rebuilt from the
-        occupancy otherwise.  ``epochs`` / ``epoch_index`` hand the new
-        shard its cell in a ring-shared :class:`SharedEpochs`.
-        """
-        epoch = self._epochs.current(self._epoch_index)
-        if epoch is not None and epoch.delta is not None \
-                and not epoch.delta.is_empty:
-            # Fold pending mutations so the spawned shard starts from a
-            # plan that matches this engine's live tree.
-            self.compact()
-        if not self._spec.requires_occupied:
-            tree_source = (self._tree if self._tree is not None
-                           else (lambda: self.tree))
-            return BloomDB(self.config, params=self.params,
-                           family=self.family, tree=tree_source,
-                           compiled=self._compiled,
-                           epochs=epochs, epoch_index=epoch_index)
-        if self._compiled is not None and self.config.tree != "dynamic":
-            return BloomDB(self.config, params=self.params,
-                           family=self.family,
-                           tree=self._compiled.to_tree(writable=True),
-                           epochs=epochs, epoch_index=epoch_index)
-        return BloomDB(self.config, params=self.params, family=self.family,
-                       occupied=self.occupied,
-                       epochs=epochs, epoch_index=epoch_index)
-
     def sampler_for(self, rng=None) -> BSTSampler:
         """A fresh sampler on this engine's tree and thresholds.
 
@@ -1100,7 +959,7 @@ class BloomDB:
         occupied = self.occupied
         if occupied is not None:
             info["occupied"] = int(occupied.size)
-        epoch = self._epochs.current(self._epoch_index)
+        epoch = self._epoch
         if epoch is not None:
             info["epoch"] = epoch.epoch
             info["delta_density"] = round(epoch.delta_density, 4)

@@ -44,8 +44,8 @@ def _timed(fn):
 def build_workload(params: dict):
     """Deterministic scenario data: ``(occupied, [(name, ids), ...])``.
 
-    One draw sequence shared by every consumer, so an engine and a
-    service built from the same parameters hold identical sets.  For
+    One draw sequence shared by every consumer, so every engine built
+    from the same parameters holds identical sets.  For
     occupancy-tracking trees the stored sets are drawn from the
     ``occupied`` ids, mirroring the paper's sparse-namespace workloads.
     """
@@ -85,6 +85,18 @@ def build_engine(params: dict, family: str | None = None):
     for name, ids in sets:
         db.add_set(name, ids)
     return db, [name for name, _ in sets]
+
+
+def _compiled_twin(db: BloomDB) -> BloomDB:
+    """``db`` re-wrapped with ``plan="compiled"``: same tree, same sets.
+
+    Worker processes attach to the compiled artefacts, so this is what a
+    serving scenario saves into the directory its pool serves.
+    """
+    from dataclasses import replace
+
+    return BloomDB(replace(db.config, plan="compiled"), params=db.params,
+                   family=db.family, tree=db.tree, store=db.store)
 
 
 def _per_query_us(seconds: float, queries: int) -> float:
@@ -287,7 +299,6 @@ def _run_descent_coldstart(params: dict) -> dict:
     """
     import shutil
     import tempfile
-    from dataclasses import replace
 
     from repro.api.batch import SampleSpec
 
@@ -295,9 +306,7 @@ def _run_descent_coldstart(params: dict) -> dict:
     rounds = int(params.get("rounds", 32))
     requests = int(params.get("requests", 32))
     db, names = build_engine(params)
-    compiled_db = BloomDB(replace(db.config, plan="compiled"),
-                          params=db.params, family=db.family, tree=db.tree,
-                          store=db.store)
+    compiled_db = _compiled_twin(db)
     specs = [SampleSpec(names[i % len(names)], rounds, seed=i, key=str(i))
              for i in range(requests)]
 
@@ -602,36 +611,29 @@ def _run_coldstart(params: dict) -> dict:
     One engine is saved twice — the classic ``plan="objects"`` layout
     (compressed npz, node graph rebuilt on load) and the compiled layout
     (raw ``np.memmap`` buffers, tree materialised lazily).  The timed
-    section is the real serve boot path: ``BloomDB.load`` + re-sharding
-    into a pool (:meth:`ShardedEnginePool.from_engine`) + the first
-    seeded sample batch; results are verified identical between paths.
+    section is what every serving worker pays on attach:
+    ``BloomDB.load`` + the first seeded sample batch; results are
+    verified identical between the two layouts.
     """
     import shutil
     import tempfile
-    from dataclasses import replace
 
     from repro.api.batch import SampleSpec
-    from repro.service.pool import ShardedEnginePool
 
-    shards = int(params.get("shards", 4))
     repeats = max(1, int(params.get("repeats", 3)))
     db, names = build_engine(params)
-    compiled_db = BloomDB(replace(db.config, plan="compiled"),
-                          params=db.params, family=db.family, tree=db.tree,
-                          store=db.store)
 
     def boot(directory):
         engine = BloomDB.load(directory)
-        pool = ShardedEnginePool.from_engine(engine, shards)
         spec = SampleSpec(names[0], 8, seed=1, key="probe")
-        return pool.engine_for(names[0]).sample_many([spec])["probe"].values
+        return engine.sample_many([spec])["probe"].values
 
     tmp = tempfile.mkdtemp(prefix="repro-coldstart-")
     try:
         objects_dir = f"{tmp}/objects"
         compiled_dir = f"{tmp}/compiled"
         db.save(objects_dir)
-        compiled_db.save(compiled_dir)
+        _compiled_twin(db).save(compiled_dir)
 
         objects_times, compiled_times = [], []
         for _ in range(repeats):
@@ -646,7 +648,6 @@ def _run_coldstart(params: dict) -> dict:
 
     return {
         "engine": db.describe(),
-        "shards": shards,
         "identical_to_objects": bool(objects_values == compiled_values),
         "objects": {"seconds": round(objects_s, 6)},
         "compiled": {"seconds": round(compiled_s, 6)},
@@ -784,19 +785,19 @@ def _run_serving_multiproc(params: dict) -> dict:
     One compiled-plan engine is persisted once; a
     :class:`~repro.service.procpool.ProcessShardPool` attaches first one
     and then ``workers_high`` worker processes to the *same* promoted
-    ``plan.bst`` / ``sets.bst`` snapshot (one physical mmap ring-wide)
+    ``plan.bst`` / ``sets.bst`` snapshot (one physical mmap pool-wide)
     and each pool serves the identical open-loop seeded sampling plan.
-    The scaling headline is aggregate throughput N-proc vs 1-proc —
-    worker processes escape the GIL the thread tier serialises on —
-    and fidelity is gated by ``identical_to_threaded``: every result
-    (values *and* operation counters) must match the thread tier's
-    answer for the same seeds, which itself matches direct engine calls.
+    The scaling headline is aggregate throughput N-proc vs 1-proc, and
+    fidelity is gated by ``identical_to_direct``: every result (values
+    *and* operation counters) must match a direct
+    :meth:`~repro.api.BloomDB.sample_many` call with the same seeds.
     """
     import shutil
     import tempfile
-    from dataclasses import replace
 
-    from repro.service import BatchPolicy, BloomService
+    from repro.api.batch import SampleSpec
+    from repro.service import BatchPolicy
+    from repro.service.client import encode_result
     from repro.service.procpool import ProcessShardPool
 
     requests = int(params["requests"])
@@ -806,38 +807,12 @@ def _run_serving_multiproc(params: dict) -> dict:
     max_delay_ms = float(params.get("max_delay_ms", 2.0))
 
     db, names = build_engine(params)
-    compiled_db = BloomDB(replace(db.config, plan="compiled"),
-                          params=db.params, family=db.family, tree=db.tree,
-                          store=db.store)
+    compiled_db = _compiled_twin(db)
     plan = [(names[i % len(names)], i) for i in range(requests)]
-
-    # Thread-tier reference: same seeds through the micro-batching
-    # scheduler (bit-identical to direct engine calls by construction).
-    occupied, sets = build_workload(params)
-    service = BloomService.plan(
-        namespace_size=int(params["namespace"]),
-        shards=workers_high,
-        max_batch=max_batch,
-        max_delay_ms=max_delay_ms,
-        queue_depth=requests,
-        occupied=occupied,
-        accuracy=float(params.get("accuracy", 0.9)),
-        set_size=int(params["set_size"]),
-        family=params.get("family", "murmur3"),
-        tree=params.get("tree", "static"),
-        seed=int(params.get("seed", 0)),
-        depth=params.get("depth"),
-    )
-    for name, ids in sets:
-        service.add_set(name, ids)
-    with service:
-        start = time.perf_counter()
-        futures = [service.submit_sample(name, rounds, seed=seed)
-                   for name, seed in plan]
-        threaded_results = [f.result(300) for f in futures]
-        threaded_s = time.perf_counter() - start
-    reference = [(list(r.values), r.ops.nodes_visited, r.ops.memberships)
-                 for r in threaded_results]
+    specs = [SampleSpec(name, rounds, seed=seed, key=str(i))
+             for i, (name, seed) in enumerate(plan)]
+    reference = [encode_result(result) for result
+                 in compiled_db.sample_many(specs).ordered()]
 
     def run_pool(directory, workers: int):
         from repro.obs.metrics import export_snapshot
@@ -862,8 +837,7 @@ def _run_serving_multiproc(params: dict) -> dict:
                 export_snapshot(pool.fleet_export())["histograms"])
         finally:
             pool.close()
-        return elapsed, stages, [(r["values"], r["ops"]["nodes_visited"],
-                                  r["ops"]["memberships"]) for r in results]
+        return elapsed, stages, results
 
     tmp = tempfile.mkdtemp(prefix="repro-multiproc-")
     try:
@@ -883,11 +857,7 @@ def _run_serving_multiproc(params: dict) -> dict:
         # meaningful only where at least 4 cores back the 4 processes.
         "cpus": len(os.sched_getaffinity(0)) if hasattr(
             os, "sched_getaffinity") else os.cpu_count(),
-        "identical_to_threaded": bool(identical),
-        "threaded": {
-            "seconds": round(threaded_s, 6),
-            "throughput_rps": round(requests / threaded_s, 1),
-        },
+        "identical_to_direct": bool(identical),
         "single_process": {
             "seconds": round(single_s, 6),
             "throughput_rps": round(requests / single_s, 1),
@@ -904,7 +874,6 @@ def _run_serving_multiproc(params: dict) -> dict:
         },
         "throughput_multiproc_rps": round(requests / multi_s, 1),
         "speedup_multiproc_vs_single": round(single_s / multi_s, 2),
-        "speedup_multiproc_vs_threaded": round(threaded_s / multi_s, 2),
     }
 
 
@@ -925,7 +894,6 @@ def _run_replicated_failover(params: dict) -> dict:
     """
     import shutil
     import tempfile
-    from dataclasses import replace
 
     from repro.replication import ReplicatedShardPool
     from repro.service import ServiceOverloadedError
@@ -936,9 +904,7 @@ def _run_replicated_failover(params: dict) -> dict:
     requests = int(params["requests"])
 
     db, names = build_engine(params)
-    compiled_db = BloomDB(replace(db.config, plan="compiled"),
-                          params=db.params, family=db.family, tree=db.tree,
-                          store=db.store)
+    compiled_db = _compiled_twin(db)
 
     def counter(pool, name: str) -> float:
         return sum(pool.metrics.export()["counters"]
@@ -1026,16 +992,22 @@ def _run_replicated_failover(params: dict) -> dict:
 
 
 def run_serving(params: dict) -> dict:
-    """Coalesced service throughput vs. the naive per-request loop.
+    """Coalesced pool throughput vs. the naive per-request loop.
 
     Both paths execute the *same* deterministic mixed request plan; the
     naive loop issues one direct engine call per request (fresh
     position cache every time — the shape of un-batched traffic), the
-    service path submits everything to the micro-batching scheduler and
-    waits for the futures.  Per-request results are verified
-    bit-identical between the two.
+    coalesced path submits everything open-loop to a ``shards``-worker
+    :class:`~repro.service.procpool.ProcessShardPool` and waits for the
+    futures.  Per-request results are verified bit-identical between
+    the two.
     """
-    from repro.service import BloomService
+    import shutil
+    import tempfile
+
+    from repro.obs.metrics import diff_exports, export_snapshot
+    from repro.service import BatchPolicy
+    from repro.service.procpool import ProcessShardPool
 
     if params.get("coldstart"):
         return _run_coldstart(params)
@@ -1050,6 +1022,7 @@ def run_serving(params: dict) -> dict:
     plan = _serving_requests(params, names)
     rounds = int(params.get("rounds", 8))
     namespace = int(params["namespace"])
+    workers = int(params.get("shards", 4))
 
     # Naive baseline: one engine call per request, no shared state.
     naive_results = {}
@@ -1063,57 +1036,63 @@ def run_serving(params: dict) -> dict:
             naive_results[i] = db.reconstruct(name)
     naive_s = time.perf_counter() - start
 
-    # Coalesced path: same plan, submitted open-loop to the scheduler.
-    occupied, sets = build_workload(params)
-    service = BloomService.plan(
-        namespace_size=namespace,
-        shards=int(params.get("shards", 4)),
-        max_batch=int(params.get("max_batch", 256)),
-        max_delay_ms=float(params.get("max_delay_ms", 2.0)),
-        queue_depth=len(plan),
-        occupied=occupied,
-        accuracy=float(params.get("accuracy", 0.9)),
-        set_size=int(params["set_size"]),
-        family=params.get("family", "murmur3"),
-        tree=params.get("tree", "static"),
-        seed=int(params.get("seed", 0)),
-        depth=params.get("depth"),
-    )
-    for name, ids in sets:
-        service.add_set(name, ids)
-    with service:
-        start = time.perf_counter()
-        futures = []
-        for op, name, seed in plan:
-            if op == "sample":
-                futures.append(service.submit_sample(name, rounds, seed=seed))
-            elif op == "contains":
-                futures.append(service.submit_contains(
-                    name, seed % namespace))
-            else:
-                futures.append(service.submit_reconstruct(name))
-        coalesced_results = [future.result(120) for future in futures]
-        coalesced_s = time.perf_counter() - start
-        stats = service.stats()
+    # Coalesced path: same plan, submitted open-loop to the pool.
+    policy = BatchPolicy(max_batch=int(params.get("max_batch", 256)),
+                         max_delay_ms=float(params.get("max_delay_ms", 2.0)),
+                         queue_depth=len(plan))
+    sample_latency: list[float] = []
+    tmp = tempfile.mkdtemp(prefix="repro-serving-")
+    try:
+        _compiled_twin(db).save(tmp)
+        pool = ProcessShardPool(tmp, workers, policy=policy)
+        pool.start()
+        try:
+            for name in names:  # fault the mmap pages in before timing
+                pool.submit("sample", (name,), rounds=rounds,
+                            seed=0).result(300)
+            warm = pool.fleet_export()
+            start = time.perf_counter()
+            futures = []
+            for op, name, seed in plan:
+                if op == "sample":
+                    submitted = time.perf_counter()
+                    future = pool.submit("sample", (name,), rounds=rounds,
+                                         seed=seed)
+                    future.add_done_callback(
+                        lambda _, t=submitted: sample_latency.append(
+                            time.perf_counter() - t))
+                elif op == "contains":
+                    future = pool.submit("contains", (name,),
+                                         x=seed % namespace)
+                else:
+                    future = pool.submit("reconstruct", (name,))
+                futures.append(future)
+            coalesced_results = [future.result(120) for future in futures]
+            coalesced_s = time.perf_counter() - start
+            stats = export_snapshot(diff_exports(pool.fleet_export(), warm))
+        finally:
+            pool.close()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
     identical = True
     for i, (op, name, seed) in enumerate(plan):
         got, want = coalesced_results[i], naive_results[i]
         if op == "sample":
-            identical &= got.values == want.values
+            identical &= got["values"] == [int(v) for v in want.values]
         elif op == "contains":
-            identical &= got == want
+            identical &= got["contains"] == want
         else:
-            identical &= np.array_equal(got.elements, want.elements)
+            identical &= got["elements"] == [int(v) for v in want.elements]
 
     requests = len(plan)
     batch_hist = stats["histograms"].get("batch_size", {})
-    sample_latency = stats["histograms"].get("sample.latency_s", {})
     stages = _stage_decomposition(stats["histograms"])
+    latency = np.asarray(sample_latency)
     return {
         "requests": requests,
         "engine": db.describe(),
-        "shards": int(params.get("shards", 4)),
+        "shards": workers,
         "identical_to_naive": bool(identical),
         "naive": {
             "seconds": round(naive_s, 6),
@@ -1126,8 +1105,10 @@ def run_serving(params: dict) -> dict:
             "throughput_rps": round(requests / coalesced_s, 1),
             "mean_batch": batch_hist.get("mean"),
             "max_batch": batch_hist.get("max"),
-            "sample_latency_p50_s": sample_latency.get("p50"),
-            "sample_latency_p99_s": sample_latency.get("p99"),
+            "sample_latency_p50_s": (float(np.quantile(latency, 0.5))
+                                     if latency.size else None),
+            "sample_latency_p99_s": (float(np.quantile(latency, 0.99))
+                                     if latency.size else None),
             "queue_wait_p50_s": stages.get("queue", {}).get("p50_s"),
             "queue_wait_p99_s": stages.get("queue", {}).get("p99_s"),
             "stages": stages,

@@ -173,15 +173,16 @@ _register(Scenario(
 
 # The gated serving scenario uses the MD5 family and a shallow tree:
 # big leaves make per-request candidate hashing the dominant cost, which
-# is precisely the work the micro-batching scheduler amortises across a
-# coalesced batch (one PositionCache pass per dispatch).  The cheap-hash
-# companion scenario below reports the honest murmur3 number, where the
+# is precisely the work micro-batching amortises across a coalesced
+# batch (one frontier pass per dispatch).  The coalesced path runs
+# through a ``shards``-worker process pool.  The cheap-hash companion
+# scenario below reports the honest murmur3 number, where the
 # irreducible per-request descent bounds the win.
 _register(Scenario(
     name="serving_mixed_4shards",
     kind="serving",
-    title="Micro-batched serving vs. the naive one-request-per-call loop "
-          "(MD5 family, shallow tree)",
+    title="Micro-batched serving through a 4-worker process pool vs. the "
+          "naive one-request-per-call loop (MD5 family, shallow tree)",
     maps_to="ROADMAP north star (serving heavy concurrent traffic)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
                family="md5", tree="static", depth=4, shards=4,
@@ -195,14 +196,14 @@ _register(Scenario(
     name="coldstart_mmap",
     kind="serving",
     title="Serve cold start: mmap'd compiled plan vs. npz object-graph "
-          "rebuild (load + 4-shard pool + first sample)",
+          "rebuild (load + first seeded sample batch)",
     maps_to="ROADMAP north star (cold start as fast as the hardware allows)",
     quick=dict(_COMMON, namespace=400_000, set_size=300, num_sets=8,
                family="murmur3", tree="static", depth=13, coldstart=True,
-               shards=4, repeats=3),
+               repeats=3),
     full=dict(_COMMON, namespace=2_000_000, set_size=1_000, num_sets=16,
               family="murmur3", tree="static", depth=14, coldstart=True,
-              shards=4, repeats=3),
+              repeats=3),
 ))
 
 _register(Scenario(
@@ -220,17 +221,17 @@ _register(Scenario(
               churn_fraction=0.10, churn_batch=1_024, repeats=3),
 ))
 
-# Gated scale-out scenario for the multi-process tier: worker processes
+# Gated scale-out scenario for the process pool: worker processes
 # escape the GIL, so hash-heavy sampling (MD5, shallow tree — the same
 # compute profile as serving_mixed_4shards) should scale near-linearly
-# with processes where threads cannot.  The gate is >= 2x aggregate
-# throughput 1 -> 4 workers on the shared static compiled plan, with
-# every result bit-identical to the thread tier.
+# with processes.  The gate is >= 2x aggregate throughput 1 -> 4
+# workers on the shared static compiled plan, with every result
+# bit-identical to direct engine calls.
 _register(Scenario(
     name="serving_multiproc",
     kind="serving",
     title="Process-pool serving scale-out: 4 worker processes over one "
-          "shared mmap plan vs. 1 (and vs. the thread tier)",
+          "shared mmap plan vs. 1 (bit-identical to direct calls)",
     maps_to="ROADMAP north star (serving heavy concurrent traffic beyond "
             "the GIL)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
@@ -268,7 +269,8 @@ _register(Scenario(
 _register(Scenario(
     name="serving_cheap_hash",
     kind="serving",
-    title="Micro-batched serving with cheap hashing (murmur3, planner depth)",
+    title="Micro-batched serving through a 4-worker process pool with "
+          "cheap hashing (murmur3, planner depth)",
     maps_to="ROADMAP north star (serving heavy concurrent traffic)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
                family="murmur3", tree="static", shards=4, requests=1_000,

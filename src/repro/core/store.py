@@ -17,9 +17,10 @@ All filters share the store's hash family, which is the compatibility
 requirement of Definition 5.1.
 
 Thread safety: every entry point that touches the name->filter mapping
-or the shared sampler stream takes an internal re-entrant lock, so the
-serving layer's shard workers (:mod:`repro.service`) can read sets while
-another thread creates or extends them.  Per-request determinism under
+or the shared sampler stream takes an internal re-entrant lock, so
+concurrent threads (the serving leader's request threads in
+:mod:`repro.service`, or any embedder) can read sets while another
+thread creates or extends them.  Per-request determinism under
 concurrency comes from the ``rng`` argument of :meth:`FilterStore.sample_many`
 — a seeded call uses its own transient sampler instead of the shared
 stream, making the result a pure function of (tree, filter, seed).
@@ -107,8 +108,9 @@ class FilterStore:
     def install(self, name: str, bloom: BloomFilter) -> None:
         """Adopt an existing compatible filter as a named set.
 
-        The supported path for moving filters between stores (e.g. the
-        pool re-sharding a loaded engine) without reaching into private
+        The supported path for moving filters between stores (e.g.
+        seeding a durable serving engine from a template) without reaching
+        into private
         state; enforces the same duplicate and Definition 5.1
         compatibility checks as :meth:`create`.
         """
@@ -150,9 +152,9 @@ class FilterStore:
     def copy_filter(self, name: str) -> BloomFilter:
         """A consistent copy of a named filter, taken under the lock.
 
-        Cross-store readers (the pool's cross-shard union/intersection)
-        use this instead of :meth:`filter` so a concurrent ``add_many``
-        on the owning store can never be observed half-applied.
+        Readers that merge filters (the serving workers' union and
+        intersection samples) use this instead of :meth:`filter` so a
+        concurrent ``add_many`` can never be observed half-applied.
         """
         with self._lock:
             return self._get(name).copy()

@@ -1,45 +1,36 @@
 """Durability subsystem: WAL, checksummed snapshots and crash recovery.
 
-PR 5's epoch-versioned mutation pipeline made occupancy writes cheap but
-volatile: a crash between :meth:`~repro.api.BloomDB.compact` calls lost
-every insert/retire since the last compaction.  This package turns the
-serving layer from a cache into a database:
+The epoch-versioned mutation pipeline makes occupancy writes cheap but,
+on its own, volatile: a crash between compactions would lose every
+insert/retire since the last one.  This package turns the serving layer
+from a cache into a database:
 
 :mod:`repro.durability.wal`
-    A per-shard append-only write-ahead log of insert/retire and
-    set-mutation batches — length-prefixed, CRC-checksummed records,
-    configurable fsync policy (``always`` / ``batch`` / ``off``),
-    segment rotation and truncated-tail tolerance on replay.
+    An append-only write-ahead log of insert/retire and set-mutation
+    batches — length-prefixed, CRC-checksummed records, configurable
+    fsync policy (``always`` / ``batch`` / ``off``), segment rotation
+    and truncated-tail tolerance on replay.
 :mod:`repro.durability.recovery`
     Cold-start recovery: load the last durable snapshot (the mmap blob
     of :mod:`repro.core.mmapio`), replay the WAL tail through the
     normal mutation pipeline, and restore the exact pre-crash epoch.
-:mod:`repro.durability.checkpoint`
-    Snapshots: ``compact(path=)`` plus WAL truncation bound to the
-    promoted epoch id, including ring-wide coordinated checkpoints over
-    a :class:`~repro.service.ShardedEnginePool`.
 
-Entry points: :func:`open_durable` (create-or-recover one engine),
-:func:`recover_engine` / :func:`recover_ring` (explicit recovery),
-:func:`init_ring` (lay out a durable serving ring) and
-:func:`checkpoint_pool`.  See ``docs/durability.md``.
+Checkpoints — snapshot plus WAL truncation bound to the promoted epoch
+id — are :meth:`repro.api.BloomDB.checkpoint`.  A durable directory is
+one leader engine directory; ``repro serve --durable DIR`` serves it
+through :class:`~repro.service.ProcessShardPool`, which adds one
+shipped log per worker process under ``wal-workers/``.
+
+Entry points: :func:`open_durable` (create-or-recover one engine) and
+:func:`recover_engine` (explicit recovery).  See ``docs/durability.md``.
 """
 
 from repro.api.engine import DurabilityError
-from repro.durability.checkpoint import (
-    RING_FILE,
-    checkpoint_engine,
-    checkpoint_pool,
-    init_ring,
-    mark_pool_clean,
-    read_ring_meta,
-)
 from repro.durability.recovery import (
     RecoveryReport,
     inspect_wal,
     open_durable,
     recover_engine,
-    recover_ring,
     replay_records,
 )
 from repro.durability.wal import (
@@ -53,18 +44,11 @@ __all__ = [
     "CorruptWalError",
     "DurabilityError",
     "RecoveryReport",
-    "RING_FILE",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
-    "checkpoint_engine",
-    "checkpoint_pool",
-    "init_ring",
     "inspect_wal",
-    "mark_pool_clean",
     "open_durable",
-    "read_ring_meta",
     "recover_engine",
-    "recover_ring",
     "replay_records",
 ]

@@ -54,10 +54,31 @@ from repro.durability.wal import (
 #: Name of the WAL directory inside a durable engine directory.
 WAL_DIR = "wal"
 
+#: Manifest of the removed multi-directory ring layout (``shards/NN``).
+_RING_MANIFEST = "ring.json"
+
+
+def refuse_ring_layout(path) -> None:
+    """Raise :class:`DurabilityError` if ``path`` holds a durable ring.
+
+    Earlier releases laid durable serving out as one engine directory
+    per thread-tier shard (``ring.json`` + ``shards/NN``).  That layout
+    is no longer served or recovered; a durable directory is one leader
+    engine directory.  Refusing it outright beats the alternative of
+    writing a fresh engine next to the ring and serving that.
+    """
+    path = pathlib.Path(path)
+    if (path / _RING_MANIFEST).exists():
+        raise DurabilityError(
+            f"{path} holds a durable ring ({_RING_MANIFEST} + shards/NN), "
+            f"a layout that is no longer supported; a durable directory "
+            f"is now one leader engine directory (engine.json, plan.bst, "
+            f"sets.bst, wal/)")
+
 
 @dataclasses.dataclass(frozen=True)
 class RecoveryReport:
-    """What one engine's recovery did (one per shard for rings).
+    """What one engine's recovery did.
 
     ``snapshot_epoch`` is the bound found inside ``plan.bst``;
     ``recovered_epoch`` the engine's published epoch after replay.
@@ -165,6 +186,7 @@ def recover_engine(path, *, sync: str | None = None,
     """
     start = time.perf_counter()
     path = pathlib.Path(path)
+    refuse_ring_layout(path)
     if not (path / _ENGINE_FILE).exists():
         raise FileNotFoundError(f"{path} is not an engine directory "
                                 f"(no {_ENGINE_FILE})")
@@ -221,6 +243,7 @@ def open_durable(path, config=None, *, sync: str | None = None,
     one code path by construction.
     """
     path = pathlib.Path(path)
+    refuse_ring_layout(path)
     if (path / _ENGINE_FILE).exists():
         return recover_engine(path, sync=sync)
     if config is None:
@@ -233,68 +256,6 @@ def open_durable(path, config=None, *, sync: str | None = None,
     return recover_engine(path, sync=sync)
 
 
-def recover_ring(path, *, sync: str | None = None, verify: bool = False,
-                 ) -> tuple["object", list[RecoveryReport]]:
-    """Recover a durable serving ring laid out by ``init_ring``.
-
-    Each shard directory recovers independently; a crash in the middle
-    of a ring-wide occupancy broadcast can leave shard logs differing
-    by a tail of records, so after individual recovery the shards are
-    *reconciled*: the most-advanced shard's journalled tail is applied
-    (through the normal durable path, so it lands in the lagging
-    shards' own logs) until every shard publishes the same epoch.
-    Returns ``(ShardedEnginePool, [report, ...])``.
-    """
-    from repro.durability.checkpoint import read_ring_meta, shard_dirs
-    from repro.service.pool import ShardedEnginePool
-
-    path = pathlib.Path(path)
-    meta = read_ring_meta(path)
-    engines: list[BloomDB] = []
-    reports: list[RecoveryReport] = []
-    for shard_dir in shard_dirs(path, meta["shards"]):
-        db, report = recover_engine(shard_dir, sync=sync, verify=verify)
-        engines.append(db)
-        reports.append(report)
-    _reconcile_shards(engines)
-    pool = ShardedEnginePool.from_recovered(
-        engines, replicas=int(meta.get("replicas", 64)))
-    return pool, reports
-
-
-def _reconcile_shards(engines: list[BloomDB]) -> None:
-    """Bring crash-lagged shards up to the most-advanced shard's epoch.
-
-    Ring broadcasts journal the same occupancy record on every shard;
-    a crash mid-broadcast leaves a suffix of shards one (or a few)
-    records behind.  The leader's surviving tail is re-applied to each
-    lagging shard through its normal durable mutation path, which both
-    replays the mutation and journals it locally — afterwards every
-    shard's log and epoch agree again.
-    """
-    epochs = [db.current_epoch().epoch for db in engines]
-    target = max(epochs)
-    if min(epochs) == target:
-        return
-    leader = engines[epochs.index(target)]
-    tail = [r for r in scan_log(leader.wal_directory / WAL_DIR).records
-            if r.op in OCCUPANCY_OPS and r.epoch > min(epochs)]
-    for db, epoch in zip(engines, epochs):
-        for record in tail:
-            if record.epoch <= epoch:
-                continue
-            if record.op == "insert":
-                db.insert_ids(record.ids)
-            else:
-                db.retire_ids(record.ids)
-        final = db.current_epoch().epoch
-        if final != target:
-            raise CorruptWalError(
-                f"shard at {db.wal_directory} reconciled to epoch {final}, "
-                f"expected {target}; shard logs are inconsistent beyond a "
-                f"broadcast tail")
-
-
 def inspect_wal(path) -> dict:
     """Read-only summary of a durable directory's log (``repro recover``).
 
@@ -302,6 +263,7 @@ def inspect_wal(path) -> dict:
     to run against a directory another process is serving from.
     """
     path = pathlib.Path(path)
+    refuse_ring_layout(path)
     wal_dir = path / WAL_DIR if (path / WAL_DIR).is_dir() else path
     scan = scan_log(wal_dir)
     by_op: dict[str, int] = {}

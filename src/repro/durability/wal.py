@@ -1,8 +1,9 @@
 """The write-ahead log: append-only, checksummed, segment-rotated.
 
-One :class:`WriteAheadLog` journals every mutation of one engine (one
-shard of a serving ring, or a standalone :class:`~repro.api.BloomDB`)
-*before* the corresponding epoch is published.  The format is built for
+One :class:`WriteAheadLog` journals every mutation of one engine (a
+serving pool's leader, or a standalone :class:`~repro.api.BloomDB`)
+*before* the corresponding epoch is published; a process pool also
+ships the same records to one log per worker process.  The format is built for
 exactly one reader — crash recovery — and optimises for append cost and
 torn-write detection, not random access:
 

@@ -185,9 +185,10 @@ def histogram_from_export(data: dict) -> Histogram:
 class Metrics:
     """Thread-safe registry of named counters, gauges, and histograms.
 
-    One instance per service (plus one process-global runtime registry,
-    see :mod:`repro.obs.runtime`); every shard worker and front-end
-    thread records into it.  ``snapshot()`` is the ``/stats`` payload;
+    One instance per serving pool leader and one per worker process
+    (plus one process-global runtime registry, see
+    :mod:`repro.obs.runtime`); every thread of the process records into
+    it.  ``snapshot()`` is the ``/stats`` payload;
     ``export()`` feeds the Prometheus renderer and the cross-process
     delta pipeline.
     """

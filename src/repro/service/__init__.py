@@ -1,98 +1,62 @@
-"""The serving subsystem: sharded engines behind a micro-batching scheduler.
+"""The serving subsystem: one process-pool tier behind one HTTP front end.
 
 The paper frames the BloomSampleTree as the shared index of a *database*
 of Bloom-filter-encoded sets answering sampling and reconstruction
-queries online; PR 2 made the batched kernels fast.  This package is the
-layer between those kernels and real traffic — it turns a stream of
-independent requests into kernel-sized batches:
+queries online; the batched kernels make those queries fast in bulk.
+This package turns a stream of independent requests into kernel-sized
+batches and serves them from worker processes:
 
-* :class:`ShardedEnginePool` — N identically-configured
-  :class:`~repro.api.BloomDB` shards; set names are partitioned by
-  consistent hash, the tree index is replicated (shared outright for the
-  immutable ``static`` backend), so any shard can serve any query and
-  cross-shard union/intersection queries just merge filters.
-* :class:`MicroBatchScheduler` / :class:`ShardWorker` — per-shard worker
-  threads that coalesce queued requests under a max-delay/max-batch
-  policy and dispatch them through the batched engine entry points.
-  Results are bit-identical to direct engine calls because every
-  stochastic request carries its own seed
-  (:func:`~repro.service.requests.derive_seed`).
-* admission control + :class:`~repro.service.metrics.Metrics` — bounded
-  shard queues rejecting with :class:`ServiceOverloadedError`, and
-  latency / batch-size / outcome instrumentation snapshotted by
-  ``/stats``.
-* front ends — :class:`BloomService` (the facade), the in-process
-  :class:`ServiceClient`, and the stdlib HTTP/JSON server behind the
-  ``repro serve`` CLI (:class:`ReproServer`, :class:`HTTPServiceClient`).
-* the multi-process tier — :class:`ProcessShardPool` /
-  :class:`ProcessService` (:mod:`repro.service.procpool`): one worker
-  *process* per shard attached read-only to the promoted ``plan.bst`` /
-  ``sets.bst`` snapshot via ``np.memmap`` (one physical copy ring-wide),
-  writes routed through the leader and fanned out over per-worker WALs,
-  epoch promotion by atomic version-file swap, and kill-safe worker
-  respawn (:class:`WorkerDiedError` → HTTP 503) — served over the
-  asyncio front end :class:`AsyncReproServer` via
-  ``repro serve --workers N``.  The replicated tier on top of it
-  (``--replicas R``) lives in :mod:`repro.replication`.
+* :class:`ProcessShardPool` (:mod:`repro.service.procpool`) — one
+  worker *process* per shard, attached read-only to the promoted
+  ``plan.bst`` / ``sets.bst`` snapshot via ``np.memmap`` (one physical
+  copy for the whole pool).  Set names route to workers by
+  :class:`ConsistentHashRing`; each worker coalesces its queue under a
+  :class:`BatchPolicy` and dispatches through the batched engine entry
+  points.  Writes go through the leader (the parent process) and fan
+  out over per-worker WALs; epochs promote by atomic version-file swap;
+  a killed worker is respawned (:class:`WorkerDiedError` → HTTP 503).
+  The replicated pool on top of it (``--replicas R``) lives in
+  :mod:`repro.replication`.
+* :class:`ProcessService` — the client-shaped facade: one method per
+  HTTP route, returning the route's JSON dict.  Stochastic requests
+  always run with an explicit seed (the caller's, or a derived one), so
+  every answer — values and OpCounters — is bit-identical to a direct
+  :meth:`~repro.api.BloomDB.sample_many` call.
+* :class:`AsyncReproServer` — the asyncio HTTP/JSON front end of
+  ``repro serve``; :mod:`repro.service.http` holds its routes and error
+  mapping, :class:`HTTPServiceClient` is the matching client (with
+  :class:`RetryPolicy` for idempotent retries on 503 + ``Retry-After``).
+* admission control — bounded worker queues reject with
+  :class:`ServiceOverloadedError` (503) instead of queueing without
+  bound.
 
-Both HTTP front ends expose ``/healthz`` (liveness) and ``/readyz``
-(readiness: ring attached, replication lag under bound), and every 503
-carries ``Retry-After`` — which :class:`HTTPServiceClient` honours when
-constructed with a :class:`RetryPolicy` (idempotent requests only).
+To embed the tier in Python, persist an engine into a serving directory
+and wrap the pool in the facade (the engine must use
+``plan="compiled"``; workers attach to the compiled artefacts)::
 
->>> import numpy as np
->>> svc = BloomService.plan(namespace_size=10_000, accuracy=0.9, seed=7,
-...                         shards=2)
->>> svc.add_set("community", np.arange(0, 1_000, 3, dtype=np.uint64))
->>> with svc:
-...     values = svc.sample("community", r=5, seed=11).values
->>> all(v % 3 == 0 for v in values)
-True
+    pool = ProcessShardPool.from_engine(db, "serving-dir", workers=2)
+    with ProcessService(pool) as service:
+        service.sample("community", r=5, seed=11)
 """
 
-from repro.service.client import (
-    HTTPServiceClient,
-    RetryPolicy,
-    ServiceClient,
-)
+from repro.service.client import HTTPServiceClient, RetryPolicy
 from repro.service.hashring import ConsistentHashRing
-from repro.service.metrics import Histogram, Metrics
-from repro.service.pool import ShardedEnginePool
-from repro.service.requests import ServiceRequest, derive_seed
-from repro.service.scheduler import (
-    BatchPolicy,
-    MicroBatchScheduler,
-    ServiceOverloadedError,
-    ShardWorker,
-)
-from repro.service.http import ReproServer
+from repro.service.scheduler import BatchPolicy, ServiceOverloadedError
 from repro.service.aserver import AsyncReproServer
 from repro.service.procpool import (
     ProcessService,
     ProcessShardPool,
     WorkerDiedError,
 )
-from repro.service.service import BloomService, ServiceConfig
 
 __all__ = [
     "AsyncReproServer",
     "BatchPolicy",
-    "BloomService",
     "ConsistentHashRing",
     "HTTPServiceClient",
-    "Histogram",
-    "Metrics",
-    "MicroBatchScheduler",
     "ProcessService",
     "ProcessShardPool",
-    "ReproServer",
     "RetryPolicy",
-    "ServiceClient",
-    "ServiceConfig",
     "ServiceOverloadedError",
-    "ServiceRequest",
-    "ShardWorker",
-    "ShardedEnginePool",
     "WorkerDiedError",
-    "derive_seed",
 ]

@@ -1,20 +1,15 @@
-"""The asyncio HTTP front end of ``repro serve --workers N``.
+"""The asyncio HTTP front end of ``repro serve``.
 
-The stdlib :class:`~repro.service.http.ReproServer` dedicates one
-handler *thread* per connection — fine for the thread tier, where the
-handler must block on a scheduler future anyway, but a poor front for
-the process tier: the parent's job there is pure I/O (parse, route,
-await, serialise) and the heavy lifting happens in worker processes.
-:class:`AsyncReproServer` replaces it with a single-threaded asyncio
-accept loop multiplexing every connection; blocking waits on the pool's
-futures are pushed onto a small executor so the event loop never stalls.
-
-Protocol, routes, wire shapes and error mapping are byte-identical to
-the stdlib server — both dispatch through
-:func:`repro.service.http.route_request` /
-:func:`~repro.service.http.status_for` — so
-:class:`~repro.service.client.HTTPServiceClient` and the CI smoke drills
-work against either front end unchanged.
+The parent process's job is pure I/O — parse, route, await, serialise —
+while the heavy lifting happens in worker processes.
+:class:`AsyncReproServer` does it on a single-threaded asyncio accept
+loop multiplexing every connection; blocking waits on the pool's
+futures are pushed onto a small executor so the event loop never
+stalls.  Routes, wire shapes and the error mapping live in
+:mod:`repro.service.http` (:func:`~repro.service.http.route_request`,
+:func:`~repro.service.http.status_for`), and
+:class:`~repro.service.client.HTTPServiceClient` speaks the protocol
+from the other end.
 """
 
 from __future__ import annotations
@@ -55,8 +50,7 @@ def _raw_response_bytes(status: int, body: bytes, content_type: str, *,
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n")
     if status == 503:
-        # Overload / respawn / failover: transient by construction
-        # (mirrors the stdlib front end's hint).
+        # Overload / respawn / failover: transient by construction.
         head += "Retry-After: 1\r\n"
     head += "\r\n"
     return head.encode("ascii") + body
@@ -99,6 +93,8 @@ async def _read_request(reader: asyncio.StreamReader):
         length = int(headers.get("content-length") or 0)
     except ValueError:
         raise _BadRequest("invalid Content-Length") from None
+    if length < 0:
+        raise _BadRequest("invalid Content-Length")
     if length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     raw = await reader.readexactly(length) if length else b""
@@ -116,12 +112,11 @@ async def _read_request(reader: asyncio.StreamReader):
 class AsyncReproServer:
     """Asyncio HTTP server over a client-shaped service facade.
 
-    ``client`` is anything exposing the
-    :class:`~repro.service.client.ServiceClient` surface — in the CLI
-    it is a :class:`~repro.service.procpool.ProcessService`, whose
-    ``start``/``stop``/``close`` lifecycle this server drives.  Route
-    handlers run on a small thread executor because the facade blocks on
-    pool futures; the event loop itself only ever parses and serialises.
+    ``client`` is a :class:`~repro.service.procpool.ProcessService` (or
+    anything with its method surface), whose ``start``/``stop``/``close``
+    lifecycle this server drives.  Route handlers run on a small thread
+    executor because the facade blocks on pool futures; the event loop
+    itself only ever parses and serialises.
 
     >>> server = AsyncReproServer(service, port=0).start()  # doctest: +SKIP
     >>> server.url                                          # doctest: +SKIP

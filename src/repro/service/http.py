@@ -1,18 +1,21 @@
-"""The stdlib HTTP/JSON front end of ``repro serve``.
+"""The HTTP/JSON protocol of ``repro serve``: routes and error mapping.
 
-A :class:`http.server.ThreadingHTTPServer` whose handler threads do no
-engine work themselves: each request is parsed, submitted to the
-service's micro-batching scheduler, and the handler blocks on the future
-— so HTTP concurrency is exactly what feeds the coalescing batches.
+The asyncio front end (:class:`~repro.service.aserver.AsyncReproServer`)
+parses requests; this module decides what they mean.
+:func:`route_request` dispatches one POST route against the
+client-shaped :class:`~repro.service.procpool.ProcessService`, and
+:func:`status_for` / :func:`error_payload` map whatever it raised to a
+status code and JSON body.
 
 Routes (all bodies and responses are JSON):
 
 ====================  ====  ==========================================
 ``/healthz``          GET   liveness probe (process is up)
-``/readyz``           GET   readiness: ring attached, lag under bound
+``/readyz``           GET   readiness: workers attached, lag under bound
 ``/stats``            GET   metrics + pool + policy snapshot
 ``/metrics``          GET   Prometheus text exposition (v0.0.4)
 ``/trace``            GET   slowest-request spans + stage histograms
+``/workers``          GET   worker processes: pid, liveness, restarts
 ``/sample``           POST  ``{"set", "r", "replacement", "seed"?}``
 ``/reconstruct``      POST  ``{"set", "exhaustive"?}``
 ``/contains``         POST  ``{"set", "x"}``
@@ -22,20 +25,20 @@ Routes (all bodies and responses are JSON):
 ``/insert``           POST  ``{"ids": [...]}``
 ``/retire``           POST  ``{"ids": [...]}``
 ``/compact``          POST  (no body)
-``/checkpoint``       POST  (no body; durable rings only)
+``/checkpoint``       POST  (no body; durable pools only)
 ====================  ====  ==========================================
 
-``/insert`` and ``/retire`` are the occupancy write endpoints: ids are
-registered/retired on *every* shard through the barrier-coordinated
-epoch-atomic broadcast (see :meth:`~repro.service.BloomService.insert_ids`);
-``/compact`` folds each shard's pending delta into a fresh base plan;
-``/checkpoint`` takes a ring-wide durable snapshot and truncates every
-shard's WAL (``repro serve --durable`` only).
+``/insert`` and ``/retire`` are the occupancy write endpoints: the
+leader applies the ids and ships the record to every worker's log
+before acknowledging (see :meth:`~repro.service.ProcessShardPool.insert_ids`);
+``/compact`` folds the leader's pending delta into a fresh snapshot
+generation; ``/checkpoint`` takes a durable snapshot and truncates the
+leader WAL (``repro serve --durable`` only).
 
 Error mapping: 400 for malformed requests (including occupancy writes
 the configured tree backend cannot express), 404 for unknown sets, 409
 for duplicate set creation or durability misuse (``/checkpoint`` on a
-non-durable ring), 503 when admission control rejects (shard queue
+non-durable pool), 503 when admission control rejects (worker queue
 full), a worker died mid-request, or a quorum ack timed out, 500
 otherwise.  Every 503 carries ``Retry-After: 1`` — the condition is
 transient by construction (queues drain, workers respawn, followers
@@ -43,7 +46,7 @@ promote) and retry-capable clients
 (:class:`~repro.service.client.RetryPolicy`) honour the hint.
 
 ``/healthz`` vs ``/readyz``: liveness only says the process answers;
-readiness says the ring can actually serve — every worker attached and
+readiness says the pool can actually serve — every worker attached and
 alive, and (replicated pools) every shard group led with replication
 lag under threshold.  ``/readyz`` answers 503 with the same JSON body
 while not ready, so boot/failover pollers can watch one endpoint.
@@ -51,32 +54,17 @@ while not ready, so boot/failover pollers can watch one endpoint.
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from repro.api import BackendCapabilityError, DurabilityError
 from repro.core.store import DuplicateSetError
-from repro.obs.logs import get_logger
-from repro.obs.prometheus import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from repro.service.client import ServiceClient
 from repro.service.scheduler import ServiceOverloadedError
-from repro.service.service import BloomService
-
-_log = get_logger("service.http")
-
-#: Request bodies above this size are rejected (sanity bound).
-_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def status_for(exc: Exception) -> int:
     """The HTTP status code for an exception raised by a route.
 
-    One mapping shared by the stdlib handler here and the asyncio front
-    end of :mod:`repro.service.aserver`, so both tiers speak identical
-    error protocol: 400 malformed, 404 unknown set, 409 duplicate-set /
-    durability misuse, 503 admission rejection or a dead shard worker,
-    500 otherwise.
+    400 malformed, 404 unknown set, 409 duplicate-set / durability
+    misuse, 503 admission rejection or a dead worker process, 500
+    otherwise.
     """
     if isinstance(exc, (ValueError, TypeError, BackendCapabilityError)):
         return 400
@@ -102,11 +90,8 @@ def route_request(client, path: str, body: dict) -> dict:
     """Dispatch one POST route against a client-shaped object.
 
     ``client`` is anything exposing the
-    :class:`~repro.service.client.ServiceClient` method surface — the
-    thread-tier client or the multi-process
-    :class:`~repro.service.procpool.ProcessService` — so every front end
-    (stdlib threads here, asyncio in :mod:`repro.service.aserver`)
-    serves exactly the same routes with the same wire shapes.
+    :class:`~repro.service.procpool.ProcessService` method surface; the
+    result is the route's JSON response dict.
     """
     if path == "/sample":
         return client.sample(
@@ -135,88 +120,6 @@ def route_request(client, path: str, body: dict) -> dict:
     raise ValueError(f"no route {path}")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one HTTP request into the service (see module docs)."""
-
-    # Set by make_handler:
-    client: ServiceClient
-
-    protocol_version = "HTTP/1.1"
-
-    # -- plumbing --------------------------------------------------------------
-
-    def log_message(self, fmt, *args):  # noqa: D102 - silence stdlib logging
-        pass
-
-    def _send(self, status: int, payload: dict) -> None:
-        self._send_bytes(status, json.dumps(payload).encode("utf-8"),
-                         "application/json")
-
-    def _send_bytes(self, status: int, body: bytes,
-                    content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if status == 503:
-            # Overload / respawn / failover: transient by construction.
-            self.send_header("Retry-After", "1")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _body(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            # The body cannot be located, let alone drained: the
-            # connection is desynced for keep-alive — close it.
-            self.close_connection = True
-            raise ValueError("invalid Content-Length") from None
-        if length > _MAX_BODY_BYTES:
-            # Rejecting without reading leaves unread body bytes on a
-            # persistent connection; closing keeps the protocol sane.
-            self.close_connection = True
-            raise ValueError("request body too large")
-        if length == 0:
-            return {}
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # -- routes ----------------------------------------------------------------
-
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        """GET routes: liveness, stats and worker introspection."""
-        if self.path == "/healthz":
-            self._send(200, {"ok": True})
-        elif self.path == "/readyz":
-            payload = self.client.readyz()
-            self._send(200 if payload.get("ready") else 503, payload)
-        elif self.path == "/stats":
-            self._send(200, self.client.stats())
-        elif self.path == "/metrics":
-            self._send_bytes(200, self.client.metrics_text().encode("utf-8"),
-                             _METRICS_CONTENT_TYPE)
-        elif self.path == "/trace":
-            self._send(200, self.client.trace())
-        elif self.path == "/workers":
-            self._send(200, self.client.workers())
-        else:
-            self._send(404, {"error": f"no route {self.path}"})
-
-    def do_POST(self):  # noqa: N802 - stdlib naming
-        """POST routes: the query and mutation operations."""
-        try:
-            body = self._body()
-            result = route_request(self.client, self.path, body)
-        except Exception as exc:
-            if status_for(exc) == 500:
-                _log.exception("request_failed", path=self.path)
-            self._send(status_for(exc), error_payload(exc))
-        else:
-            self._send(200, result)
-
-
 def _required(body: dict, key: str):
     if key not in body:
         raise ValueError(f"missing required field {key!r}")
@@ -240,93 +143,3 @@ def _names(body: dict) -> list[str]:
 def _seed(body: dict) -> int | None:
     seed = body.get("seed")
     return None if seed is None else int(seed)
-
-
-def make_handler(service: BloomService) -> type:
-    """A handler class bound to one service (stdlib handler factory)."""
-    client = ServiceClient(service)
-    return type("BoundHandler", (_Handler,), {"client": client})
-
-
-class ReproServer:
-    """The serving process object: HTTP server + service lifecycle.
-
-    >>> svc = BloomService.plan(namespace_size=4_000, seed=3,
-    ...                         shards=2)  # doctest: +SKIP
-    >>> server = ReproServer(svc, port=0).start()  # doctest: +SKIP
-    >>> server.url  # doctest: +SKIP
-    'http://127.0.0.1:49213'
-    """
-
-    def __init__(self, service: BloomService, host: str = "127.0.0.1",
-                 port: int = 8650):
-        self.service = service
-        self.httpd = ThreadingHTTPServer((host, port), make_handler(service))
-        self.httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        """Bound host."""
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (resolved, so ``port=0`` reports the real one)."""
-        return self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should use."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ReproServer":
-        """Start the shard workers and the HTTP accept loop (background)."""
-        self.service.start()
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        name="repro-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut down the HTTP server, then the shard workers."""
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.service.stop()
-
-    def close(self) -> None:
-        """Graceful shutdown: stop accepting, drain, persist durable state.
-
-        Like :meth:`stop`, but finishes through
-        :meth:`~repro.service.BloomService.close` — on a durable ring
-        that drains in-flight work, takes a final ring-wide checkpoint
-        and writes every WAL's clean-shutdown marker, so the next
-        ``repro serve`` skips WAL replay entirely.  This is what the
-        CLI's SIGTERM/SIGINT handlers call.
-        """
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.service.close()
-
-    def serve_forever(self) -> None:
-        """Run in the foreground (the CLI path); Ctrl-C stops cleanly."""
-        self.service.start()
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.httpd.server_close()
-            self.service.close()
-
-    def __enter__(self) -> "ReproServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

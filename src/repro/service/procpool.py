@@ -1,12 +1,10 @@
-"""Multi-process serving: a process-per-shard pool over shared mmap plans.
+"""The serving tier: a process-per-shard pool over shared mmap plans.
 
-The thread tier (:mod:`repro.service.scheduler`) coalesces beautifully
-but every shard worker still serialises on the GIL between kernel
-calls.  This module escapes it: each shard worker is a real OS
-*process* that attaches to the promoted ``plan.bst`` / ``sets.bst``
-snapshot via ``np.memmap`` — the page cache gives every worker the same
-physical read-only bytes, so N workers cost one plan in RAM — while the
-parent process runs the front end and owns all writes.
+Each shard worker is a real OS *process* that attaches to the promoted
+``plan.bst`` / ``sets.bst`` snapshot via ``np.memmap`` — the page cache
+gives every worker the same physical read-only bytes, so N workers cost
+one plan in RAM — while the parent process runs the front end and owns
+all writes.
 
 Serving directory layout (one engine directory, extended)::
 
@@ -19,22 +17,22 @@ Serving directory layout (one engine directory, extended)::
 
 The coordination protocol, in full:
 
-* **Reads** are routed by the same consistent-hash ring as the thread
-  tier, enqueued on the owning worker's ``multiprocessing`` queue,
-  gathered under the shared :class:`~repro.service.scheduler.BatchPolicy`
-  and dispatched through the identical batched engine entry points —
-  per-request :class:`~repro.api.SampleSpec` seeds make every result
-  (values *and* OpCounters) bit-identical to the thread tier and to
-  direct engine calls.
+* **Reads** are routed by a consistent-hash ring over set names,
+  enqueued on the owning worker's ``multiprocessing`` queue, gathered
+  under the :class:`~repro.service.scheduler.BatchPolicy` and dispatched
+  through the batched engine entry points — per-request
+  :class:`~repro.api.SampleSpec` seeds make every result (values *and*
+  OpCounters) bit-identical to direct engine calls, whatever the batch
+  composition, worker count or replica that served it.
 * **Writes** route through the leader (the parent process): the leader
   engine applies the mutation through the normal epoch pipeline, the
-  record is appended to *every worker's own WAL* (the per-shard WALs of
-  the ISSUE — one log per worker process), and the ``EPOCH`` version
-  file's ``wal_seq`` is bumped by atomic rename *before* the write is
-  acknowledged.  A worker checks ``EPOCH`` after gathering each batch —
-  so any read submitted after a write ack executes against state that
-  includes the write (read-your-writes) — and replays its log tail
-  through :func:`repro.durability.recovery.replay_records`, i.e. with
+  record is appended to *every worker's own WAL* (one log per worker
+  process), and the ``EPOCH`` version file's ``wal_seq`` is bumped by
+  atomic rename *before* the write is acknowledged.  A worker checks
+  ``EPOCH`` after gathering each batch — so any read submitted after a
+  write ack executes against state that includes the write
+  (read-your-writes) — and replays its log tail through
+  :func:`repro.durability.recovery.replay_records`, i.e. with
   recovery's exact epoch-alignment verification.
 * **Epoch promotion** (checkpoint / compact / membership change) writes
   a fresh snapshot pair, hardlinks it under generation names, truncates
@@ -61,18 +59,22 @@ The coordination protocol, in full:
 * **Durable mode** opens the leader through
   :func:`repro.durability.open_durable`: every write journals to the
   leader's own WAL *before* the fanout, checkpoints bind the truncation
-  epoch inside ``plan.bst``'s atomic rename exactly as in the thread
-  tier, and a parent crash recovers through ``repro recover`` /
+  epoch inside ``plan.bst``'s atomic rename, and a parent crash
+  recovers through ``repro recover`` /
   :func:`~repro.durability.recover_engine` unchanged.
 
 :class:`ProcessService` is the client-shaped facade
 (:func:`repro.service.http.route_request` dispatches against it), served
 over HTTP by the asyncio front end of :mod:`repro.service.aserver` via
-``repro serve --workers N``.
+``repro serve --workers N``.  To embed the tier in a Python program
+(tests, notebooks), persist an engine into a directory with
+:meth:`ProcessShardPool.from_engine` and wrap the pool in a
+:class:`ProcessService`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -109,9 +111,8 @@ from repro.obs.metrics import (
 from repro.obs.prometheus import render_prometheus
 from repro.obs.runtime import RUNTIME
 from repro.obs.trace import Trace, TraceBuffer, collect_stages
-from repro.service.client import encode_result
+from repro.service.client import DEFAULT_TIMEOUT_S, encode_result
 from repro.service.hashring import ConsistentHashRing
-from repro.service.requests import derive_seed
 from repro.service.scheduler import (
     BatchPolicy,
     ServiceOverloadedError,
@@ -126,9 +127,6 @@ WORKER_WAL_DIR = "wal-workers"
 
 #: How long to wait for a spawned worker to attach and report ready.
 _READY_TIMEOUT_S = 60.0
-
-#: Default timeout of the synchronous facade calls (seconds).
-_DEFAULT_TIMEOUT_S = 30.0
 
 #: Response-pump poll interval; also bounds death-detection latency.
 _PUMP_POLL_S = 0.05
@@ -155,6 +153,22 @@ class WorkerDiedError(ServiceOverloadedError):
     to a clean 503 — the shard is temporarily unavailable while the
     parent respawns the worker; clients retry.
     """
+
+
+def derive_seed(*parts) -> int:
+    """A stable 63-bit seed from arbitrary request parts.
+
+    SHA-256 over the ``repr`` of the parts: process-independent (unlike
+    builtin ``hash``), collision-resistant enough that distinct requests
+    get independent streams, and small enough for
+    ``numpy.random.default_rng``.  Every stochastic request executes
+    with an explicit seed — the caller's, or one derived here — so its
+    result is a pure function of (engine state, request), independent
+    of how requests were batched.
+    """
+    blob = "\x1f".join(repr(p) for p in parts).encode("utf-8")
+    digest = hashlib.sha256(blob).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
 
 
 def read_epoch_state(directory) -> dict:
@@ -262,18 +276,20 @@ def _execute_batch(att: _WorkerAttachment, batch: list,
                    respond) -> None:
     """Partition one gathered batch by op and dispatch batch kernels.
 
-    Mirrors :meth:`~repro.service.scheduler.ShardWorker._execute`
-    exactly — sampling requests share one ``sample_many`` dispatch over
+    Sampling requests share one ``sample_many`` dispatch over
     per-request :class:`~repro.api.SampleSpec` seeds, reconstructions
-    group into ``reconstruct_many`` passes — which is what makes the
-    process tier bit-identical to the thread tier per request.
+    group into ``reconstruct_many`` passes — which is what makes every
+    answer bit-identical to a direct engine call per request.  Nothing a
+    client sent can raise out of here: a malformed request fails only
+    itself (or, if it slipped past :meth:`ProcessShardPool.submit`, its
+    kernel group), and the worker process keeps serving.
     """
     db = att.db
     samples: list[dict] = []
     recon: dict[bool, list[dict]] = {}
     for msg in batch:
-        op = msg["op"]
         try:
+            op = msg["op"]
             if op not in _READ_OPS:
                 raise ValueError(f"worker cannot serve op {op!r}")
             if op != "sample_union" and op != "sample_intersection":
@@ -290,11 +306,11 @@ def _execute_batch(att: _WorkerAttachment, batch: list,
         else:
             _run_single(db, msg, respond)
     if samples:
-        specs = [SampleSpec(m["names"][0], int(m["rounds"]),
-                            bool(m["replacement"]), seed=int(m["seed"]),
-                            key=str(i))
-                 for i, m in enumerate(samples)]
         try:
+            specs = [SampleSpec(m["names"][0], int(m["rounds"]),
+                                bool(m["replacement"]), seed=int(m["seed"]),
+                                key=str(i))
+                     for i, m in enumerate(samples)]
             report = db.sample_many(specs)
         except Exception as exc:  # noqa: BLE001 - marshalled to parent
             for msg in samples:
@@ -894,7 +910,9 @@ class ProcessShardPool:
                timeout: float | None = None) -> Future:
         """Enqueue one read on the owning worker; returns a Future.
 
-        Admission control mirrors the thread tier: a full worker queue
+        Requests are validated here, in the caller's thread: malformed
+        input raises :class:`ValueError` (a 400 over HTTP) and never
+        reaches a worker.  Admission control: a full worker queue
         rejects with :class:`ServiceOverloadedError` unless ``block``.
         """
         if not self._started:
@@ -902,7 +920,13 @@ class ProcessShardPool:
         if op not in _READ_OPS:
             raise ValueError(f"unknown read op {op!r}")
         names = tuple(str(n) for n in names)
-        shard = self._route(names[0] if names else "")
+        if not names:
+            raise ValueError("request needs at least one set name")
+        if int(rounds) <= 0:
+            raise ValueError("rounds must be positive")
+        if int(seed) < 0:
+            raise ValueError("seed must be non-negative")
+        shard = self._route(names[0])
         handle = self._workers[shard]
         rid = next(self._request_ids)
         future: Future = Future()
@@ -947,12 +971,12 @@ class ProcessShardPool:
         """Register ids as occupied; fan out to every worker log.
 
         Returns the number of ids submitted (0 for backends without
-        occupancy, mirroring the thread tier's silent no-op).
+        occupancy: inserting into a static tree is a silent no-op).
         """
         return self._occupancy("insert", ids)
 
     def retire_ids(self, ids) -> int:
-        """Retire ids from the occupied namespace, ring-wide."""
+        """Retire ids from the occupied namespace on every worker."""
         if not self.leader.spec.supports_remove:
             raise BackendCapabilityError(
                 f"tree backend {self.leader.config.tree!r} cannot remove "
@@ -980,7 +1004,7 @@ class ProcessShardPool:
         self._set_mutation("add_set", name, ids)
 
     def extend_set(self, name: str, ids) -> None:
-        """Insert elements into an existing named set, ring-wide."""
+        """Insert elements into an existing named set on every worker."""
         self._set_mutation("extend_set", name, ids)
 
     def _set_mutation(self, op: str, name: str, ids) -> None:
@@ -1141,7 +1165,7 @@ class ProcessShardPool:
         return dict(self._state)
 
     def readyz(self) -> dict:
-        """The ``/readyz`` payload: is the ring fully attached and serving?
+        """The ``/readyz`` payload: is the pool fully attached and serving?
 
         Distinct from liveness (``/healthz``): ready means every worker
         process is spawned, attached to the promoted snapshot, and
@@ -1189,17 +1213,21 @@ class ProcessShardPool:
 class ProcessService:
     """Client-shaped facade over a :class:`ProcessShardPool`.
 
-    Exposes the :class:`~repro.service.client.ServiceClient` method
-    surface returning the same wire dicts, so
-    :func:`repro.service.http.route_request` — and therefore both HTTP
-    front ends — dispatch against it unchanged.  Seeds are resolved
-    exactly like :class:`~repro.service.BloomService`: the caller's, or
-    ticket-derived so identical concurrent requests still get
-    independent streams.
+    One method per route, each returning the route's wire dict, so
+    :func:`repro.service.http.route_request` — and therefore the HTTP
+    front end — dispatches against it directly; embedders call the
+    same methods in-process.  Seeds are the caller's, or derived from
+    a per-facade ticket (:func:`derive_seed`) so identical concurrent
+    requests still get independent streams.
+
+    >>> pool = ProcessShardPool.from_engine(db, "serving-dir",
+    ...                                     workers=1)  # doctest: +SKIP
+    >>> with ProcessService(pool) as service:           # doctest: +SKIP
+    ...     service.sample("community", r=5, seed=11)["values"]
     """
 
     def __init__(self, pool: ProcessShardPool,
-                 timeout: float = _DEFAULT_TIMEOUT_S):
+                 timeout: float = DEFAULT_TIMEOUT_S):
         self.pool = pool
         self.timeout = timeout
         self._tickets = itertools.count()

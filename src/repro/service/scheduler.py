@@ -1,72 +1,32 @@
-"""The micro-batching scheduler: shard workers that coalesce requests.
+"""Micro-batching policy: coalesce independent requests into batches.
 
-PR 2's kernels made *batched* sampling and reconstruction orders of
+The batched kernels make sampling and reconstruction orders of
 magnitude faster than per-request calls, but only for callers that
-hand-assemble batches.  This module manufactures those batches out of
-independent concurrent requests — the dynamic-batching idea production
-inference servers use:
+hand-assemble batches.  The serving tier manufactures those batches out
+of independent concurrent requests — the dynamic-batching idea
+production inference servers use:
 
-* every shard owns one bounded queue and one worker thread;
+* every worker process owns one bounded request queue;
 * the worker blocks for the first request, then keeps gathering until
   either ``max_batch`` requests are in hand or ``max_delay_ms`` has
-  elapsed since the first one (the classic latency/throughput knob);
-* the gathered batch is partitioned by operation and dispatched through
-  the batched engine entry points — :meth:`repro.api.BloomDB.sample_many`
-  over per-request :class:`~repro.api.SampleSpec` objects (one shared
-  :class:`~repro.core.kernels.PositionCache` per dispatch) and
-  :meth:`~repro.core.store.FilterStore.reconstruct_many` — so every
-  request in the batch pays the tree walk and leaf hashing once;
-* results are bit-identical to direct engine calls: sampling requests
-  carry per-request seeds (see :mod:`repro.service.requests`) and the
-  batched reconstruction kernel is per-query identical to sequential
-  execution by construction.
+  elapsed since the first one (:func:`gather_batch`, the classic
+  latency/throughput knob);
+* the gathered batch is dispatched through the batched engine entry
+  points (see :mod:`repro.service.procpool`).
 
-Ring-wide writes (``register_ids`` / ``retire_ids`` / ``checkpoint``)
-are first-class requests: the service enqueues one per shard sharing a
-:class:`threading.Barrier`, the workers rendezvous, and a single leader
-applies the ring-wide epoch swap (or the coordinated durable
-checkpoint) while every other worker is parked — mutations are atomic
-across the ring *and* serialised against every shard's in-flight
-batches (see :meth:`ShardWorker._apply_ring_write`).
-
-Admission control is at ``submit``: a full shard queue rejects the
-request immediately with :class:`ServiceOverloadedError` (the HTTP front
-end maps it to 503) instead of letting latency grow without bound.
+Admission control is at submit: a full worker queue rejects the request
+immediately with :class:`ServiceOverloadedError` (the HTTP front end
+maps it to 503) instead of letting latency grow without bound.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
 import time
-
-from repro.api.batch import SampleSpec
-from repro.obs.trace import Trace, TraceBuffer, collect_stages
-from repro.service.metrics import BATCH_BUCKETS, Metrics
-from repro.service.pool import ShardedEnginePool
-from repro.service.requests import OCCUPANCY_OPS, RING_OPS, ServiceRequest
-
-#: Wake-up interval of idle workers (also bounds shutdown latency).
-_IDLE_POLL_S = 0.05
-
-#: How long a shard worker waits at an occupancy-broadcast barrier for
-#: the other shards to rendezvous before declaring the broadcast broken.
-#: Generous on purpose: a peer's barrier request can legitimately sit
-#: behind a deep queue of slow requests (queue_depth defaults to 1024),
-#: and timing out would fail a mutation that was about to succeed.
-#: Worker death — the only thing this guards against — is not a normal
-#: mode (workers are daemon threads that survive request errors).
-_BARRIER_TIMEOUT_S = 60.0
-
-#: How long the parked workers wait for the leader to finish applying
-#: the ring-wide mutation.  Deliberately generous: a peer timing out
-#: here would report failure for a mutation the leader still commits,
-#: so this bounds only genuine leader death, not slow bulk loads.
-_BARRIER_APPLY_TIMEOUT_S = 300.0
 
 
 class ServiceOverloadedError(RuntimeError):
-    """A shard queue was full; the request was rejected at admission."""
+    """A worker queue was full; the request was rejected at admission."""
 
 
 def gather_batch(source, first, policy: "BatchPolicy") -> list:
@@ -74,11 +34,9 @@ def gather_batch(source, first, policy: "BatchPolicy") -> list:
 
     ``source`` is anything with the :class:`queue.Queue` blocking
     surface (``get(timeout=)`` / ``get_nowait()`` raising
-    :class:`queue.Empty`) — the thread workers' ``queue.Queue`` and the
-    process workers' ``multiprocessing.Queue`` both qualify, so both
-    tiers share one batching policy implementation.  Returns ``first``
-    plus whatever arrived before the deadline, capped at
-    ``policy.max_batch``.
+    :class:`queue.Empty`), such as a worker's ``multiprocessing.Queue``.
+    Returns ``first`` plus whatever arrived before the deadline, capped
+    at ``policy.max_batch``.
     """
     batch = [first]
     deadline = time.monotonic() + policy.max_delay_ms / 1e3
@@ -95,7 +53,7 @@ def gather_batch(source, first, policy: "BatchPolicy") -> list:
 
 
 class BatchPolicy:
-    """The micro-batching knobs of one scheduler.
+    """The micro-batching knobs of one serving pool.
 
     ``max_batch``
         Dispatch as soon as this many requests are gathered.
@@ -104,7 +62,7 @@ class BatchPolicy:
         arrived (0 coalesces only what is already queued, adding no
         artificial latency).
     ``queue_depth``
-        Bound of each shard's request queue — the admission-control
+        Bound of each worker's request queue — the admission-control
         limit.
     """
 
@@ -124,339 +82,3 @@ class BatchPolicy:
         return (f"BatchPolicy(max_batch={self.max_batch}, "
                 f"max_delay_ms={self.max_delay_ms}, "
                 f"queue_depth={self.queue_depth})")
-
-
-class ShardWorker(threading.Thread):
-    """One shard's queue + dispatch loop.
-
-    All access to the shard's engine happens on this thread, so queries
-    never race mutations within a shard (the actor model); cross-shard
-    filter reads go through the thread-safe
-    :class:`~repro.core.store.FilterStore` surface.
-    """
-
-    def __init__(self, shard_id: int, pool: ShardedEnginePool,
-                 policy: BatchPolicy, metrics: Metrics,
-                 traces: TraceBuffer | None = None):
-        super().__init__(name=f"repro-shard-{shard_id}", daemon=True)
-        self.shard_id = shard_id
-        self.pool = pool
-        self.db = pool.engines[shard_id]
-        self.policy = policy
-        self.metrics = metrics
-        self.traces = traces
-        self.queue: "queue.Queue[ServiceRequest]" = queue.Queue(
-            maxsize=policy.queue_depth)
-        self._stop_requested = threading.Event()
-        # Per-batch timing context, written by run() and read by
-        # _finish(); the worker is single-threaded so no lock is needed.
-        self._gather_started = 0.0
-        self._assembly_s = 0.0
-        self._exec_started = 0.0
-        self._deep_stages: dict[str, float] | None = None
-
-    # -- admission -------------------------------------------------------------
-
-    def submit(self, request: ServiceRequest, block: bool = False,
-               timeout: float | None = None) -> None:
-        """Enqueue a request, or reject it if the queue is full.
-
-        ``block=True`` waits for queue space instead of failing fast —
-        the control-plane path (mutations) uses it so a multi-shard
-        broadcast cannot be left half-submitted by a transient burst.
-        """
-        if self._stop_requested.is_set():
-            raise RuntimeError("service is shutting down")
-        try:
-            if block:
-                self.queue.put(request, timeout=timeout)
-            else:
-                self.queue.put_nowait(request)
-        except queue.Full:
-            self.metrics.inc("rejected_total")
-            self.metrics.inc(f"{request.op}.rejected")
-            raise ServiceOverloadedError(
-                f"shard {self.shard_id} queue is full "
-                f"({self.policy.queue_depth} pending requests)") from None
-
-    def stop(self) -> None:
-        """Ask the worker to exit after draining in-flight batches."""
-        self._stop_requested.set()
-
-    # -- dispatch loop ------------------------------------------------------------
-
-    def run(self):
-        while True:
-            try:
-                first = self.queue.get(timeout=_IDLE_POLL_S)
-            except queue.Empty:
-                if self._stop_requested.is_set():
-                    return
-                continue
-            self._gather_started = time.perf_counter()
-            batch = self._gather(first)
-            exec_started = time.perf_counter()
-            self._assembly_s = exec_started - self._gather_started
-            self._exec_started = exec_started
-            self.metrics.observe("batch_size", float(len(batch)),
-                                 buckets=BATCH_BUCKETS)
-            self.metrics.observe("stage.batch_assembly_s", self._assembly_s)
-            with collect_stages() as deep_stages:
-                self._deep_stages = deep_stages
-                try:
-                    self._execute(batch)
-                finally:
-                    self._deep_stages = None
-
-    def _gather(self, first: ServiceRequest) -> list[ServiceRequest]:
-        """Coalesce under the max-delay / max-batch policy."""
-        return gather_batch(self.queue, first, self.policy)
-
-    def _execute(self, batch: list[ServiceRequest]) -> None:
-        """Partition a batch by op and dispatch through the batch kernels."""
-        samples: list[ServiceRequest] = []
-        recon: dict[bool, list[ServiceRequest]] = {}
-        for request in batch:
-            # Claim the future (RUNNING) so a client-side cancel() can no
-            # longer race our set_result; an already-cancelled request is
-            # simply dropped.
-            if not request.future.set_running_or_notify_cancel():
-                self.metrics.inc("cancelled_total")
-                continue
-            if not self._admissible(request):
-                continue
-            if request.op == "sample":
-                samples.append(request)
-            elif request.op == "reconstruct":
-                recon.setdefault(request.exhaustive, []).append(request)
-            else:
-                self._run_single(request)
-        if samples:
-            self._run_samples(samples)
-        for exhaustive, requests in recon.items():
-            self._run_reconstructions(requests, exhaustive)
-
-    def _admissible(self, request: ServiceRequest) -> bool:
-        """Resolve set names now; fail fast with a per-request KeyError."""
-        if request.op == "add_set" or request.op in RING_OPS:
-            return True
-        for name in request.names:
-            if name not in self.pool:
-                self._fail(request, KeyError(f"no set named {name!r}"))
-                return False
-        return True
-
-    def _run_samples(self, requests: list[ServiceRequest]) -> None:
-        """One ``sample_many`` dispatch; each spec keeps its own seed."""
-        specs = [
-            SampleSpec(request.name, request.rounds, request.replacement,
-                       seed=request.seed, key=str(i))
-            for i, request in enumerate(requests)
-        ]
-        try:
-            report = self.db.sample_many(specs)
-        except Exception as exc:  # pragma: no cover - defensive
-            for request in requests:
-                self._fail(request, exc)
-            return
-        for request, result in zip(requests, report.ordered()):
-            self._finish(request, result)
-
-    def _run_reconstructions(self, requests: list[ServiceRequest],
-                             exhaustive: bool) -> None:
-        """One ``reconstruct_many`` pass over the tree for the group."""
-        names = [request.name for request in requests]
-        try:
-            results = self.db.store.reconstruct_many(names,
-                                                     exhaustive=exhaustive)
-        except Exception as exc:  # pragma: no cover - defensive
-            for request in requests:
-                self._fail(request, exc)
-            return
-        for request, result in zip(requests, results):
-            self._finish(request, result)
-
-    def _run_single(self, request: ServiceRequest) -> None:
-        """Ops that are cheap or inherently per-request."""
-        try:
-            if request.op == "contains":
-                result = self.db.contains(request.name, request.x)
-            elif request.op == "sample_union":
-                merged = self.pool.union_filter(request.names)
-                result = self.db.store.sample_filter(merged, rng=request.seed)
-            elif request.op == "sample_intersection":
-                merged = self.pool.intersection_filter(request.names)
-                result = self.db.store.sample_filter(merged, rng=request.seed)
-            elif request.op == "add_set":
-                self.db.store_set("add_set", request.name, request.ids)
-                result = True
-            elif request.op == "extend_set":
-                self.db.store_set("extend_set", request.name, request.ids)
-                result = True
-            elif request.op in RING_OPS:
-                result = self._apply_ring_write(request)
-            else:  # pragma: no cover - OPS is validated at construction
-                raise ValueError(f"unhandled op {request.op!r}")
-        except Exception as exc:
-            self._fail(request, exc)
-            return
-        self._finish(request, result)
-
-    def _apply_ring_write(self, request: ServiceRequest):
-        """Apply a ring-wide write (insert / retire / checkpoint).
-
-        With a ``barrier`` (the service's broadcast path) every shard
-        worker rendezvouses here; between the two barrier waits only the
-        *leader* runs, and it applies the write to the whole ring —
-        occupancy mutations through
-        :meth:`~repro.service.ShardedEnginePool.apply_occupancy` (one
-        prepared-everywhere, published-once epoch swap), durable
-        checkpoints through
-        :meth:`~repro.service.ShardedEnginePool.checkpoint` — while no
-        shard is serving.  No batch on any shard can therefore observe
-        a half-updated ring, and object-graph readers (reconstruction)
-        never race the tree mutation.  Without a barrier (direct
-        per-shard submits, the legacy path) the write applies to this
-        worker's own shard only.  The leader's future resolves to the
-        operation's result (checkpoint summaries); peers resolve to
-        ``True``.
-        """
-        barrier = request.barrier
-
-        def ring_action():
-            if request.op == "checkpoint":
-                return self.pool.checkpoint()
-            kind = "insert" if request.op == "register_ids" else "retire"
-            self.pool.apply_occupancy(kind, request.ids)
-            return True
-
-        if barrier is None:
-            if request.op == "checkpoint":
-                return self.db.checkpoint()
-            if self.db.spec.requires_occupied:
-                if request.op == "register_ids":
-                    self.db.insert_ids(request.ids)
-                else:
-                    self.db.retire_ids(request.ids)
-            return True
-        result = True
-        try:
-            barrier.wait(_BARRIER_TIMEOUT_S)
-            if request.leader:
-                try:
-                    result = ring_action()
-                finally:
-                    # Always release the parked peers, even on failure —
-                    # and never let a broken barrier mask the real error.
-                    try:
-                        barrier.wait(_BARRIER_APPLY_TIMEOUT_S)
-                    except threading.BrokenBarrierError:
-                        pass
-            else:
-                barrier.wait(_BARRIER_APPLY_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            raise RuntimeError(
-                f"shard {self.shard_id}: ring write barrier "
-                f"broken (a peer shard failed to rendezvous)") from None
-        return result
-
-    # -- accounting -------------------------------------------------------------
-
-    def _finish(self, request: ServiceRequest, result) -> None:
-        now = time.perf_counter()
-        total_s = now - request.submitted_at
-        queue_s = max(self._gather_started - request.submitted_at, 0.0)
-        execute_s = now - self._exec_started
-        self.metrics.inc("served_total")
-        self.metrics.inc(f"{request.op}.served")
-        self.metrics.observe(f"{request.op}.latency_s", total_s)
-        self.metrics.observe("stage.queue_s", queue_s)
-        self.metrics.observe("stage.execute_s", execute_s)
-        if self.traces is not None:
-            trace = Trace(request.request_id, request.op,
-                          request.name or None)
-            trace.add_span("queue", queue_s)
-            trace.add_span("batch_assembly", self._assembly_s)
-            trace.add_span("execute", execute_s)
-            for stage, seconds in (self._deep_stages or {}).items():
-                trace.add_span(stage, seconds)
-            self.traces.offer(trace.finish(total_s))
-        try:
-            request.future.set_result(result)
-        except Exception:  # pragma: no cover - future already settled;
-            pass           # never let one request kill the shard worker
-
-    def _fail(self, request: ServiceRequest, exc: Exception) -> None:
-        self.metrics.inc("errors_total")
-        self.metrics.inc(f"{request.op}.errors")
-        try:
-            request.future.set_exception(exc)
-        except Exception:  # pragma: no cover - future already settled
-            pass
-
-
-class MicroBatchScheduler:
-    """Routes requests to shard workers and owns their lifecycle."""
-
-    def __init__(self, pool: ShardedEnginePool,
-                 policy: BatchPolicy | None = None,
-                 metrics: Metrics | None = None,
-                 traces: TraceBuffer | None = None):
-        self.pool = pool
-        self.policy = policy if policy is not None else BatchPolicy()
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.traces = traces if traces is not None else TraceBuffer()
-        self.workers = [
-            ShardWorker(i, pool, self.policy, self.metrics, self.traces)
-            for i in range(pool.num_shards)
-        ]
-        self._started = False
-
-    def start(self) -> "MicroBatchScheduler":
-        """Start every shard worker (idempotent; survives stop/start).
-
-        Python threads cannot be restarted, so a scheduler that was
-        stopped gets a fresh set of workers (the old queues were drained
-        during :meth:`stop`).
-        """
-        if self._started:
-            return self
-        if any(worker.ident is not None for worker in self.workers):
-            self.workers = [
-                ShardWorker(i, self.pool, self.policy, self.metrics,
-                            self.traces)
-                for i in range(self.pool.num_shards)
-            ]
-        for worker in self.workers:
-            worker.start()
-        self._started = True
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop workers after they drain their queues."""
-        for worker in self.workers:
-            worker.stop()
-        for worker in self.workers:
-            if worker.is_alive():
-                worker.join(timeout)
-        self._started = False
-
-    def submit(self, request: ServiceRequest, block: bool = False,
-               timeout: float | None = None) -> ServiceRequest:
-        """Route a request to its shard's queue (admission-controlled)."""
-        if not self._started:
-            raise RuntimeError("scheduler is not started")
-        self.metrics.inc("requests_total")
-        shard = self.pool.shard_of(request.name)
-        self.workers[shard].submit(request, block=block, timeout=timeout)
-        return request
-
-    def submit_to_shard(self, shard: int, request: ServiceRequest,
-                        block: bool = False,
-                        timeout: float | None = None) -> ServiceRequest:
-        """Route to an explicit shard (occupancy broadcasts)."""
-        if not self._started:
-            raise RuntimeError("scheduler is not started")
-        self.metrics.inc("requests_total")
-        self.workers[shard].submit(request, block=block, timeout=timeout)
-        return request

@@ -230,39 +230,3 @@ class TestEngineIntegration:
         loaded.extend_set("s0", np.array([1, 2, 3], dtype=np.uint64))
         assert loaded.filter("s0").bits.words.flags.writeable
         assert loaded.contains("s0", 1)
-
-
-class TestPoolSharing:
-    def test_static_shards_share_tree_and_plan(self):
-        from repro.service.pool import ShardedEnginePool
-
-        config = EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                              seed=7, plan="compiled")
-        pool = ShardedEnginePool(config, shards=3)
-        plans = {id(engine.compiled_tree()) for engine in pool.engines}
-        trees = {id(engine.tree) for engine in pool.engines}
-        assert len(plans) == 1
-        assert len(trees) == 1
-
-    def test_from_engine_reuses_loaded_components(self, tmp_path):
-        from repro.service.pool import ShardedEnginePool
-
-        db = build_db("static")
-        pool = ShardedEnginePool.from_engine(db, shards=2)
-        assert all(engine.tree is db.tree for engine in pool.engines)
-        assert pool.contains("s0", int(db.reconstruct("s0").elements[0]))
-
-    def test_from_engine_shares_one_plan_even_when_uncompiled(self):
-        """Regression: shards spawned from a compiled-config template
-        with no cached plan each compiled their own CompiledTree."""
-        from repro.service.pool import ShardedEnginePool
-
-        db = build_db("static")
-        compiled_db = BloomDB(
-            EngineConfig(**{**db.config.to_dict(), "plan": "compiled"}),
-            params=db.params, family=db.family, tree=db.tree)
-        compiled_db.store.install("s0", db.filter("s0"))
-        assert compiled_db._compiled is None
-        pool = ShardedEnginePool.from_engine(compiled_db, shards=4)
-        plans = {id(engine.compiled_tree()) for engine in pool.engines}
-        assert len(plans) == 1

@@ -45,6 +45,21 @@ class TestManagement:
         assert len(store) == 2
         assert "odds" not in store
 
+    def test_install_rejects_incompatible_and_duplicate_filters(
+            self, store, small_family):
+        from repro.core.hashing import create_family
+        from repro.core.store import DuplicateSetError
+
+        with pytest.raises(DuplicateSetError):
+            store.install("evens", store.filter("evens").copy())
+        other = create_family("murmur3", small_family.k, small_family.m // 2,
+                              namespace_size=SMALL_NAMESPACE, seed=42)
+        tiny = BloomFilter.from_items(np.arange(5, dtype=np.uint64), other)
+        with pytest.raises(ValueError, match="incompatible"):
+            store.install("fresh", tiny)
+        store.install("copy", store.filter("odds").copy())
+        assert store.contains("copy", 3)
+
     def test_create_empty_then_fill(self, small_family):
         store = FilterStore(small_family)
         store.create("empty")

@@ -18,14 +18,13 @@ from repro.api import BloomDB, DurabilityError, EngineConfig
 from repro.api.batch import SampleSpec
 from repro.durability import (
     CorruptWalError,
-    init_ring,
     inspect_wal,
     open_durable,
     recover_engine,
-    recover_ring,
 )
 from repro.durability.recovery import WAL_DIR
-from repro.service import BloomService, ServiceConfig
+from repro.service import ProcessService, ProcessShardPool
+from repro.service.procpool import WORKER_WAL_DIR
 
 NAMESPACE = 4_096
 SET_IDS = np.arange(10, 2_000, 7, dtype=np.uint64)
@@ -278,73 +277,47 @@ def test_clean_shutdown_marker_round_trip(tmp_path):
     assert not report.torn_tail
 
 
-# -- ring recovery --------------------------------------------------------------
+# -- serving directories ---------------------------------------------------------
 
 
-def _make_ring(path, shards=2):
-    template = BloomDB(_config(plan="compiled", mutation="delta"))
-    template.add_set("s", SET_IDS)
-    template.add_set("t", SET_IDS[::3])
-    init_ring(path, shards, template=template)
-    return recover_ring(path)
+def test_ring_layout_is_refused(tmp_path):
+    """A directory in the removed ``ring.json`` + ``shards/NN`` layout is
+    refused by name, never overwritten with a fresh engine."""
+    ring = tmp_path / "ring"
+    ring.mkdir()
+    (ring / "ring.json").write_text('{"format": 1, "shards": 2}')
+    for attempt in (lambda: open_durable(ring, _config()),
+                    lambda: recover_engine(ring),
+                    lambda: inspect_wal(ring)):
+        with pytest.raises(DurabilityError, match="durable ring"):
+            attempt()
+    assert sorted(p.name for p in ring.iterdir()) == ["ring.json"]
 
 
-def test_ring_init_and_recover(tmp_path):
-    pool, reports = _make_ring(tmp_path / "ring")
-    assert len(reports) == 2
-    assert pool.durable
-    assert {e.epoch for e in pool.ring_epochs()} == {1}
-    names = set()
-    for engine in pool.engines:
-        names.update(engine.names())
-        engine.wal.close()
-    assert names == {"s", "t"}
+def test_pool_checkpoint_and_graceful_close(tmp_path):
+    """Checkpoint while serving, close, reopen: nothing left to replay,
+    every log marked clean, and seeded answers unchanged throughout."""
+    directory = tmp_path / "durable"
+    db, _ = open_durable(directory, _config(plan="compiled",
+                                            mutation="delta"))
+    db.add_set("s", SET_IDS)
+    db.checkpoint()
+    db.wal.close()
 
-
-def test_ring_reconciles_crash_lagged_shards(tmp_path):
-    pool, _ = _make_ring(tmp_path / "ring")
-    ids = np.arange(2100, 2150, dtype=np.uint64)
-    # A crash mid-broadcast: shard 0 journalled the write, shard 1 never
-    # saw it.
-    pool.engines[0].insert_ids(ids)
-    for engine in pool.engines:
-        engine.wal.close()
-
-    pool2, reports = recover_ring(tmp_path / "ring")
-    epochs = [e.epoch for e in pool2.ring_epochs()]
-    assert len(set(epochs)) == 1
-    reference = pool2.engines[0].occupied
-    for engine in pool2.engines:
-        assert np.array_equal(engine.occupied, reference)
-        engine.wal.close()
-
-
-def test_ring_service_checkpoint_and_graceful_close(tmp_path):
-    pool, _ = _make_ring(tmp_path / "ring")
-    service = BloomService(pool, ServiceConfig(shards=pool.num_shards))
-    with service:
-        service.insert_ids(np.arange(2100, 2150, dtype=np.uint64))
+    pool = ProcessShardPool(directory, 1, durable=True)
+    with ProcessService(pool) as service:
+        service.insert_ids(np.arange(2_100, 2_150, dtype=np.uint64))
         before = service.sample("s", r=12, seed=5)
-        summaries = service.checkpoint()  # barrier path (workers running)
-        assert len({s["epoch"] for s in summaries}) == 1
-        after = service.sample("s", r=12, seed=5)
-        assert np.array_equal(before.values, after.values)
-    service.close()
+        assert service.checkpoint()["ok"] is True
+        assert service.sample("s", r=12, seed=5) == before
+    pool.close()
+    assert (directory / WAL_DIR / "CLEAN").exists()
+    for log in (directory / WORKER_WAL_DIR).iterdir():
+        assert (log / "CLEAN").exists()
 
-    pool2, reports = recover_ring(tmp_path / "ring")
-    assert all(r.clean_shutdown for r in reports)
-    assert all(r.records_replayed == 0 for r in reports)
-    service2 = BloomService(pool2, ServiceConfig(shards=pool2.num_shards))
-    with service2:
-        again = service2.sample("s", r=12, seed=5)
-    assert np.array_equal(before.values, again.values)
-    service2.close()
-
-
-def test_checkpoint_refused_on_volatile_service():
-    service = BloomService.plan(namespace_size=NAMESPACE, shards=2,
-                                accuracy=0.9, set_size=200, seed=11)
-    service.add_set("s", SET_IDS)
-    assert not service.durable
-    with pytest.raises(DurabilityError, match="durable"):
-        service.checkpoint()
+    reopened = ProcessShardPool(directory, 1, durable=True)
+    assert reopened.recovery_report.clean_shutdown
+    assert reopened.recovery_report.records_replayed == 0
+    with ProcessService(reopened) as service:
+        assert service.sample("s", r=12, seed=5) == before
+    reopened.close()

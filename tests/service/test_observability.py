@@ -1,12 +1,11 @@
-"""Observability over HTTP: ``/metrics`` and ``/trace`` on both servers.
+"""Observability over HTTP: ``/metrics`` and ``/trace``.
 
-The thread-tier :class:`ReproServer` and the asyncio
-:class:`AsyncReproServer` must both expose a valid Prometheus scrape
-(our own strict validator is the arbiter — the same one the
+The asyncio front end must expose a valid Prometheus scrape (our own
+strict validator is the arbiter — the same one the
 ``metrics-scrape-smoke`` CI job runs) and a ``/trace`` payload whose
-slowest-request ring carries per-stage spans.  Scraping must never
-disturb query results: a seeded sample is bit-identical before and
-after a scrape.
+slowest-request ring carries per-stage spans shipped back from the
+worker processes.  Scraping must never disturb query results: a seeded
+sample is bit-identical before and after a scrape.
 """
 
 import urllib.request
@@ -18,40 +17,12 @@ from repro.obs.prometheus import (
     parse_exposition,
     validate_exposition,
 )
-from repro.service import (
-    BloomService,
-    HTTPServiceClient,
-    ReproServer,
-    ServiceConfig,
-)
-from repro.service.aserver import AsyncReproServer
-from repro.service.client import ServiceClient
-from repro.service.pool import ShardedEnginePool
+from repro.service import HTTPServiceClient
 
 
 @pytest.fixture(scope="module")
-def obs_config(engine_config):
-    """Compiled plan + delta overlay so the deep stages are exercised."""
-    from repro.api import EngineConfig
-
-    return EngineConfig(namespace_size=engine_config.namespace_size,
-                        accuracy=0.9, set_size=150, seed=5,
-                        plan="compiled", mutation="delta", tree="dynamic")
-
-
-@pytest.fixture(scope="module")
-def server(obs_config, workload):
-    pool = ShardedEnginePool(obs_config, 2)
-    service = BloomService(pool, ServiceConfig(shards=2, max_delay_ms=1.0))
-    for name, ids in workload:
-        service.add_set(name, ids)
-    with ReproServer(service, port=0) as running:
-        yield running
-
-
-@pytest.fixture(scope="module")
-def client(server):
-    return HTTPServiceClient(server.url)
+def client(served):
+    return HTTPServiceClient(served.url)
 
 
 def drive(client, workload, n=6, seed=700):
@@ -78,10 +49,10 @@ class TestMetricsOverHTTP:
         text = client.metrics_text()
         assert validate_exposition(text) == []
 
-    def test_content_type_pins_the_exposition_version(self, server, client,
+    def test_content_type_pins_the_exposition_version(self, served, client,
                                                       workload):
         drive(client, workload, n=1)
-        with urllib.request.urlopen(server.url + "/metrics",
+        with urllib.request.urlopen(served.url + "/metrics",
                                     timeout=10) as resp:
             assert resp.headers["Content-Type"] == CONTENT_TYPE
             text = resp.read().decode("utf-8")
@@ -146,58 +117,12 @@ class TestTraceOverHTTP:
 
 
 class TestScrapeDoesNotPerturbResults:
-    def test_seeded_sample_identical_around_a_scrape(self, server, client,
+    def test_seeded_sample_identical_around_a_scrape(self, served, client,
                                                      workload):
         name = workload[3][0]
-        direct = ServiceClient(server.service)
-        before = direct.sample(name, r=5, seed=77)
+        before = served.client.sample(name, r=5, seed=77)
         client.metrics_text()
         client.trace()
         client.stats()
-        after = direct.sample(name, r=5, seed=77)
+        after = served.client.sample(name, r=5, seed=77)
         assert before == after
-
-
-class _LifecycleFacade(ServiceClient):
-    """In-process facade delegating the lifecycle the server drives."""
-
-    def start(self):
-        self.service.start()
-        return self
-
-    def stop(self):
-        self.service.stop()
-
-    def close(self):
-        self.service.close()
-
-
-class TestAsyncServerEndpoints:
-    @pytest.fixture(scope="class")
-    def aserver(self, obs_config, workload):
-        pool = ShardedEnginePool(obs_config, 2)
-        service = BloomService(pool,
-                               ServiceConfig(shards=2, max_delay_ms=1.0))
-        for name, ids in workload:
-            service.add_set(name, ids)
-        facade = _LifecycleFacade(service)
-        with AsyncReproServer(facade, port=0) as running:
-            yield running
-
-    def test_async_metrics_scrape_valid(self, aserver, workload):
-        client = HTTPServiceClient(aserver.url)
-        drive(client, workload, n=4, seed=2100)
-        with urllib.request.urlopen(aserver.url + "/metrics",
-                                    timeout=10) as resp:
-            assert resp.headers["Content-Type"] == CONTENT_TYPE
-            text = resp.read().decode("utf-8")
-        assert validate_exposition(text) == []
-        families = parse_exposition(text)
-        assert unlabeled_value(families, "served_total") >= 4
-
-    def test_async_trace_route(self, aserver, workload):
-        client = HTTPServiceClient(aserver.url)
-        drive(client, workload, n=2, seed=2300)
-        payload = client.trace()
-        assert payload["slowest"]
-        assert "queue" in payload["slowest"][0]["spans"]

@@ -1,13 +1,13 @@
-"""Cross-process bit-identity: the tentpole correctness property.
+"""Cross-process bit-identity: the serving tier's correctness property.
 
 The same seeded request batch must produce identical values *and*
-operation counters through every tier: direct engine calls, the
-in-thread scheduler, a 1-process pool and a 4-process pool.  Identity
-holds because every stochastic request carries its own seed, every tier
-dispatches through the same batched kernels over the same compiled
-plan, and worker processes replay the leader's mutations through the
-recovery core — so batch composition, shard count and process count are
-all unobservable.
+operation counters through direct engine calls, a 1-process pool, a
+4-process pool and a replicated (R=2) pool — on every tree backend.
+Identity holds because every stochastic request carries its own seed,
+every worker dispatches through the same batched kernels over the same
+compiled plan, and worker processes replay the leader's mutations
+through the recovery core — so batch composition, worker count and the
+replica that served a read are all unobservable.
 """
 
 import json
@@ -17,15 +17,9 @@ import numpy as np
 import pytest
 
 from repro.api import BloomDB, EngineConfig, SampleSpec
-from repro.service import (
-    BatchPolicy,
-    BloomService,
-    ProcessService,
-    ProcessShardPool,
-    ServiceConfig,
-)
+from repro.replication import ReplicatedShardPool
+from repro.service import BatchPolicy, ProcessService, ProcessShardPool
 from repro.service.client import encode_result
-from repro.service.pool import ShardedEnginePool
 from repro.service.procpool import (
     EPOCH_FILE,
     WORKER_WAL_DIR,
@@ -35,20 +29,19 @@ from repro.service.procpool import (
 NAMESPACE = 8_000
 
 
-@pytest.fixture(scope="module")
-def compiled_config() -> EngineConfig:
-    """Compiled plan + delta mutation: what process serving requires."""
-    return EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                        set_size=150, seed=5, plan="compiled",
-                        mutation="delta", tree="dynamic")
-
-
-@pytest.fixture(scope="module")
-def compiled_db(compiled_config, workload) -> BloomDB:
-    db = BloomDB.from_config(compiled_config)
+def build_compiled(workload, tree: str) -> BloomDB:
+    """A compiled/delta engine over ``tree`` holding the workload."""
+    db = BloomDB.from_config(EngineConfig(
+        namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
+        plan="compiled", mutation="delta", tree=tree))
     for name, ids in workload:
         db.add_set(name, ids)
     return db
+
+
+@pytest.fixture(scope="module")
+def compiled_db(workload) -> BloomDB:
+    return build_compiled(workload, "dynamic")
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +51,7 @@ def serving_dir(compiled_db, tmp_path_factory) -> pathlib.Path:
     return directory
 
 
-#: The seeded request batch every tier executes (mixed rounds,
+#: The seeded request batch every pool executes (mixed rounds,
 #: replacement modes and seeds across all eight sets).
 def request_plan(names):
     return [
@@ -75,62 +68,63 @@ def run_direct(db, plan):
     return [encode_result(res) for res in db.sample_many(specs).ordered()]
 
 
-def run_threaded(compiled_config, workload, plan):
-    pool = ShardedEnginePool(compiled_config, 4)
-    service = BloomService(pool, ServiceConfig(shards=4))
-    for name, ids in workload:
-        service.add_set(name, ids)
-    with service:
-        futures = [service.submit_sample(r["name"], r["rounds"],
-                                         r["replacement"], seed=r["seed"])
-                   for r in plan]
-        return [encode_result(f.result(60)) for f in futures]
+def submit_plan(pool, plan):
+    futures = [pool.submit("sample", (r["name"],), rounds=r["rounds"],
+                           replacement=r["replacement"], seed=r["seed"])
+               for r in plan]
+    return [f.result(60) for f in futures]
 
 
-def run_process_pool(serving_dir, workers, plan):
-    pool = ProcessShardPool(serving_dir, workers,
-                            policy=BatchPolicy(max_batch=64,
-                                               max_delay_ms=1.0))
-    pool.start()
-    try:
-        futures = [pool.submit("sample", (r["name"],), rounds=r["rounds"],
-                               replacement=r["replacement"], seed=r["seed"])
-                   for r in plan]
-        return [f.result(60) for f in futures]
-    finally:
-        pool.close()
+#: Pool shapes the identity property sweeps: one worker, four workers,
+#: and one shard group of two replicas (reads round-robin over both).
+TOPOLOGIES = {
+    "1-worker": lambda d: ProcessShardPool(
+        d, 1, policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
+    "4-workers": lambda d: ProcessShardPool(
+        d, 4, policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
+    "replicated-R2": lambda d: ReplicatedShardPool(
+        d, 1, replication=2, heartbeat_s=0.05,
+        policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
+}
+
+
+#: Every tree backend through 1 and 4 workers, plus one replicated run
+#: on the backend with the most mutable state.
+CASES = [(tree, topology) for tree in ("static", "pruned", "dynamic")
+         for topology in ("1-worker", "4-workers")] + [
+    ("dynamic", "replicated-R2")]
 
 
 class TestCrossProcessBitIdentity:
-    def test_one_and_four_process_pools_match_thread_tier_and_engine(
-            self, compiled_db, compiled_config, workload, serving_dir):
-        """The satellite property: 4 tiers, one answer — ops included."""
+    @pytest.mark.parametrize("tree,topology", CASES)
+    def test_pool_answers_equal_direct_engine_calls(self, tree, topology,
+                                                    workload, tmp_path):
+        """Samples (values + OpCounters), reconstructions and
+        membership answers all equal direct engine calls."""
+        db = build_compiled(workload, tree)
         names = [name for name, _ in workload]
         plan = request_plan(names)
-        direct = run_direct(compiled_db, plan)
-        threaded = run_threaded(compiled_config, workload, plan)
-        single = run_process_pool(serving_dir, 1, plan)
-        multi = run_process_pool(serving_dir, 4, plan)
-        # Dict equality covers values, requested, shortfall AND the
-        # OpCounter payload (intersections/memberships/nodes/backtracks).
-        assert threaded == direct
-        assert single == direct
-        assert multi == direct
-
-    def test_reconstruct_and_contains_match_direct(self, compiled_db,
-                                                   workload, serving_dir):
-        name, ids = workload[0]
-        pool = ProcessShardPool(serving_dir, 2)
-        service = ProcessService(pool).start()
+        db.save(tmp_path / "engine")
+        pool = TOPOLOGIES[topology](tmp_path / "engine")
+        pool.start()
         try:
-            got = service.reconstruct(name, exhaustive=True)
-            want = encode_result(
-                compiled_db.store.reconstruct_many([name],
-                                                   exhaustive=True)[0])
-            assert got == want
-            assert service.contains(name, int(ids[0]))["contains"] is True
+            # Dict equality covers values, requested, shortfall AND the
+            # OpCounter payload (intersections/memberships/nodes/backtracks).
+            assert submit_plan(pool, plan) == run_direct(db, plan)
+            for exhaustive in (False, True):
+                futures = [pool.submit("reconstruct", (name,),
+                                       exhaustive=exhaustive)
+                           for name in names]
+                want = db.store.reconstruct_many(names,
+                                                 exhaustive=exhaustive)
+                assert [f.result(60) for f in futures] == \
+                    [encode_result(result) for result in want]
+            for name, ids in workload[:3]:
+                for x in (int(ids[0]), int(ids[-1]), NAMESPACE - 1):
+                    got = pool.submit("contains", (name,), x=x).result(60)
+                    assert got == {"contains": db.contains(name, x)}
         finally:
-            service.close()
+            pool.close()
 
 
 class TestServingDirectoryProtocol:
@@ -220,14 +214,33 @@ class TestGuardRails:
         with pytest.raises(ValueError, match="compiled"):
             ProcessShardPool(tmp_path / "objects", 2)
 
-    def test_submit_rejects_write_ops(self, serving_dir):
+    def test_invalid_worker_count(self, serving_dir):
+        with pytest.raises(ValueError, match="at least one worker"):
+            ProcessShardPool(serving_dir, 0)
+
+    def test_submit_before_start_is_rejected(self, serving_dir):
+        pool = ProcessShardPool(serving_dir, 1)
+        with pytest.raises(RuntimeError, match="not started"):
+            pool.submit("sample", ("set0",))
+        pool.close()
+
+    def test_submit_rejects_malformed_reads(self, serving_dir):
         pool = ProcessShardPool(serving_dir, 1)
         pool.start()
         try:
             with pytest.raises(ValueError, match="unknown read op"):
                 pool.submit("insert", ("set0",))
+            with pytest.raises(ValueError, match="rounds"):
+                pool.submit("sample", ("set0",), rounds=0)
+            with pytest.raises(ValueError, match="seed"):
+                pool.submit("sample", ("set0",), seed=-1)
+            with pytest.raises(ValueError, match="set name"):
+                pool.submit("reconstruct", ())
+            assert pool.workers_info()[0]["restarts"] == 0
         finally:
             pool.close()
+        with pytest.raises(RuntimeError, match="not started"):
+            pool.submit("sample", ("set0",))
 
     def test_unknown_set_maps_to_keyerror(self, serving_dir):
         pool = ProcessShardPool(serving_dir, 1)

@@ -128,3 +128,20 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+class TestServeAndRecover:
+    def test_serve_has_one_tier(self):
+        serve = build_parser().parse_args(["serve"])
+        assert serve.workers == 1
+        assert not hasattr(serve, "shards")
+        assert not hasattr(serve, "plan")
+
+    def test_removed_ring_layout_is_refused_by_name(self, tmp_path):
+        (tmp_path / "ring.json").write_text('{"format": 1, "shards": 2}')
+        for argv in (["serve", "--durable", str(tmp_path), "--port", "0"],
+                     ["recover", str(tmp_path)],
+                     ["recover", str(tmp_path), "--inspect"]):
+            with pytest.raises(SystemExit, match="durable ring"):
+                main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.json"]
