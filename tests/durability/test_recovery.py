@@ -321,3 +321,52 @@ def test_pool_checkpoint_and_graceful_close(tmp_path):
     with ProcessService(reopened) as service:
         assert service.sample("s", r=12, seed=5) == before
     reopened.close()
+
+
+def _crashed_pool(directory):
+    """A durable 1-worker pool that journalled writes, then died without
+    a clean close; returns the seeded answer it acknowledged."""
+    pool = ProcessShardPool(directory, 1, durable=True,
+                            config=_config(plan="compiled",
+                                           mutation="delta"))
+    with ProcessService(pool) as service:
+        service.add_set("late", SET_IDS)
+        service.insert_ids(np.arange(2_100, 2_150, dtype=np.uint64))
+        acked = service.sample("late", r=12, seed=5)
+    # Die without close(): no final promotion and no CLEAN markers.
+    for wal in [pool.leader.wal, *pool._wals]:
+        wal.close()
+    assert not (directory / WAL_DIR / "CLEAN").exists()
+    return acked
+
+
+def test_pool_crash_replays_the_leader_wal_on_reopen(tmp_path):
+    """Reopening a crashed durable pool replays the leader's WAL, and
+    the workers serve exactly the acknowledged state."""
+    directory = tmp_path / "durable"
+    acked = _crashed_pool(directory)
+
+    reopened = ProcessShardPool(directory, 1, durable=True)
+    report = reopened.recovery_report
+    assert not report.clean_shutdown
+    assert report.records_replayed >= 2
+    with ProcessService(reopened) as service:
+        assert service.sample("late", r=12, seed=5) == acked
+    reopened.close()
+    reopened.leader.wal.close()
+
+
+def test_reopen_rebuilds_lagging_worker_logs_from_the_leader(tmp_path):
+    """A crash mid-fanout leaves worker logs behind the leader's WAL
+    (the leader journals first).  On reopen the worker logs are rebuilt
+    from the recovered leader, never trusted."""
+    directory = tmp_path / "durable"
+    acked = _crashed_pool(directory)
+    shutil.rmtree(directory / WORKER_WAL_DIR / "00")  # lost every record
+
+    reopened = ProcessShardPool(directory, 1, durable=True)
+    assert (directory / WORKER_WAL_DIR / "00").is_dir()
+    with ProcessService(reopened) as service:
+        assert service.sample("late", r=12, seed=5) == acked
+    reopened.close()
+    reopened.leader.wal.close()
