@@ -922,6 +922,8 @@ class ProcessShardPool:
         names = tuple(str(n) for n in names)
         if not names:
             raise ValueError("request needs at least one set name")
+        if op in ("sample_union", "sample_intersection") and len(names) < 2:
+            raise ValueError(f"{op} needs at least two set names")
         if int(rounds) <= 0:
             raise ValueError("rounds must be positive")
         if int(seed) < 0:

@@ -1,219 +1,324 @@
-"""ShardedEnginePool: routing, replication invariants, cross-shard algebra."""
+"""ProcessShardPool: routing, leader-to-worker replication, cross-set algebra.
+
+Every worker process attaches the whole promoted snapshot; the ring only
+decides which worker serves a read.  So the pool's invariants are:
+each read runs on the shard the consistent-hash ring names, every worker
+answers any request exactly as the leader engine would, and every write
+the leader acknowledges reaches every worker.  The write tests ask each
+worker in turn (a pool whose reads are pinned to one chosen shard) and
+compare against direct calls on the leader.
+"""
 
 import numpy as np
 import pytest
 
-from repro.api import EngineConfig
-from repro.service.pool import ShardedEnginePool
+from repro.api import (
+    BackendCapabilityError,
+    BloomDB,
+    EngineConfig,
+    SampleSpec,
+)
+from repro.obs.prometheus import parse_exposition
+from repro.service import BatchPolicy, ProcessService, ProcessShardPool
+from repro.service.client import encode_result
+
+NAMESPACE = 8_000
+
+
+class PinnedPool(ProcessShardPool):
+    """A pool that routes every read to shard ``pin``."""
+
+    pin = 0
+
+    def _route(self, key: str) -> int:
+        return self.pin
+
+
+def ask_every_worker(pool: PinnedPool, op: str, names, **kwargs) -> list:
+    """One answer per worker process for the same read."""
+    answers = []
+    for shard in range(pool.num_workers):
+        pool.pin = shard
+        answers.append(pool.submit(op, tuple(names), **kwargs).result(60))
+    return answers
+
+
+def direct_sample(db: BloomDB, name: str, rounds: int, seed: int) -> dict:
+    """The wire dict of one seeded sample computed on ``db`` directly."""
+    spec = SampleSpec(name, rounds, True, seed=seed, key="0")
+    return encode_result(db.sample_many([spec]).ordered()[0])
+
+
+def assert_workers_match_leader(pool: PinnedPool, names, seed: int = 0):
+    """Every worker's seeded samples (values + OpCounters) and
+    exhaustive reconstructions equal direct calls on the leader."""
+    for i, name in enumerate(names):
+        want = direct_sample(pool.leader, name, 4, seed + i)
+        assert ask_every_worker(pool, "sample", (name,), rounds=4,
+                                seed=seed + i) == [want] * pool.num_workers
+    want = [encode_result(result) for result in
+            pool.leader.store.reconstruct_many(names, exhaustive=True)]
+    for i, name in enumerate(names):
+        assert ask_every_worker(pool, "reconstruct", (name,),
+                                exhaustive=True) == \
+            [want[i]] * pool.num_workers
+
+
+def build_db(workload, tree: str) -> BloomDB:
+    """A compiled/delta engine over ``tree`` holding the workload."""
+    db = BloomDB.from_config(EngineConfig(
+        namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
+        plan="compiled", mutation="delta", tree=tree))
+    for name, ids in workload:
+        db.add_set(name, ids)
+    return db
+
+
+def start_pinned(db: BloomDB, directory, workers: int) -> PinnedPool:
+    pool = PinnedPool.from_engine(
+        db, directory, workers, policy=BatchPolicy(max_delay_ms=1.0))
+    return pool.start()
 
 
 @pytest.fixture(scope="module")
-def pool(engine_config, workload):
-    p = ShardedEnginePool(engine_config, shards=4)
-    for name, ids in workload:
-        p.add_set(name, ids)
-    return p
+def pinned(workload, tmp_path_factory):
+    """Three workers over a dynamic tree; reads pinned by the test."""
+    directory = tmp_path_factory.mktemp("pinned") / "engine"
+    pool = start_pinned(build_db(workload, "dynamic"), directory, 3)
+    yield pool
+    pool.close()
+
+
+@pytest.fixture(scope="module")
+def pruned_pinned(tmp_path_factory):
+    """Two workers over an empty pruned tree; reads pinned by the test."""
+    db = BloomDB.from_config(EngineConfig(
+        namespace_size=16_000, accuracy=0.9, set_size=100, seed=3,
+        plan="compiled", tree="pruned"))
+    directory = tmp_path_factory.mktemp("pruned") / "engine"
+    pool = start_pinned(db, directory, 2)
+    yield pool
+    pool.close()
+
+
+def served_per_worker(pool: ProcessShardPool) -> list[float]:
+    """``requests_served`` of every worker, from the fleet scrape."""
+    counts = [0.0] * pool.num_workers
+    families = parse_exposition(pool.metrics_text())
+    family = families.get("requests_served_total", {"samples": []})
+    for _, labels, value in family["samples"]:
+        if labels:
+            counts[int(labels["worker"])] = value
+    return counts
+
+
+def served_on(pool: ProcessShardPool, op: str, names, **kwargs) -> list:
+    """Run one read; return how many requests each worker served for it."""
+    before = served_per_worker(pool)
+    pool.submit(op, tuple(names), **kwargs).result(60)
+    return [after - was for after, was in
+            zip(served_per_worker(pool), before)]
+
+
+def owned_by(shard: int, workers: int) -> list[float]:
+    """The one-request-on-``shard`` served delta."""
+    return [1.0 if i == shard else 0.0 for i in range(workers)]
 
 
 class TestRouting:
-    def test_every_set_lands_on_its_ring_shard(self, pool, workload):
+    def test_every_set_lands_on_its_ring_shard(self, served, workload):
+        pool = served.client.pool
+        owners = set()
         for name, _ in workload:
             shard = pool.shard_of(name)
-            assert name in pool.engines[shard].store
-            for i, engine in enumerate(pool.engines):
-                if i != shard:
-                    assert name not in engine.store
+            owners.add(shard)
+            assert served_on(pool, "sample", (name,), rounds=2, seed=1) \
+                == owned_by(shard, pool.num_workers)
+        assert owners == set(range(pool.num_workers))
 
-    def test_names_merge_across_shards(self, pool, workload):
-        assert pool.names() == sorted(n for n, _ in workload)
-        assert len(pool) == len(workload)
+    def test_contains_routes_to_owner(self, served, workload):
+        pool = served.client.pool
+        for name, ids in workload:
+            assert served_on(pool, "contains", (name,), x=int(ids[0])) == \
+                owned_by(pool.shard_of(name), pool.num_workers)
 
-    def test_contains_routes_to_owner(self, pool, workload):
-        name, ids = workload[0]
-        assert pool.contains(name, int(ids[0]))
+    def test_union_routes_by_its_first_set(self, served, workload):
+        pool = served.client.pool
+        names = [name for name, _ in workload]
+        first = next(n for n in names if pool.shard_of(n) == 0)
+        other = next(n for n in names if pool.shard_of(n) == 1)
+        for pair in ((first, other), (other, first)):
+            assert served_on(pool, "sample_union", pair, seed=3) == \
+                owned_by(pool.shard_of(pair[0]), pool.num_workers)
 
 
 class TestStaticTreeSharing:
-    def test_static_shards_share_one_tree_object(self, pool):
-        trees = {id(engine.tree) for engine in pool.engines}
-        assert len(trees) == 1
-        assert pool.describe()["shared_tree"] is True
-
-    def test_results_are_shard_independent(self, pool, reference_db,
-                                           workload):
-        # Same seed, same set, any shard's engine: identical draws.
-        name, _ = workload[3]
-        want = reference_db.store.sample_many(name, 6, rng=123).values
-        owner = pool.engine_for(name)
-        assert owner.store.sample_many(name, 6, rng=123).values == want
-
-
-class TestOccupancyBackends:
-    def test_pruned_pool_broadcasts_occupancy(self):
-        config = EngineConfig(namespace_size=16_000, accuracy=0.9,
-                              set_size=100, tree="pruned", seed=3)
-        pool = ShardedEnginePool(config, shards=3)
-        rng = np.random.default_rng(9)
-        ids = rng.choice(16_000, 400, replace=False).astype(np.uint64)
-        pool.add_set("alpha", ids[:200])
-        pool.add_set("beta", ids[200:])
-        # Every shard's tree saw every id, so the trees stay identical.
-        for engine in pool.engines:
-            assert engine.occupied is not None
-            assert engine.occupied.size == 400
-        # And cross-shard queries agree regardless of executing shard.
-        merged = pool.union_filter(["alpha", "beta"])
-        values = {
-            engine.store.sample_filter(merged, rng=7).value
-            for engine in pool.engines
-        }
-        assert len(values) == 1
-
-    def test_per_shard_trees_are_distinct_objects(self):
-        config = EngineConfig(namespace_size=4_000, tree="pruned", seed=1,
-                              set_size=50)
-        pool = ShardedEnginePool(config, shards=2)
-        assert pool.engines[0].tree is not pool.engines[1].tree
-        assert pool.describe()["shared_tree"] is False
+    def test_every_worker_holds_every_set(self, pinned, workload):
+        for name, ids in workload:
+            assert ask_every_worker(pinned, "contains", (name,),
+                                    x=int(ids[0])) == \
+                [{"contains": True}] * pinned.num_workers
 
 
 class TestAlgebra:
-    def test_union_filter_matches_unsharded_store(self, pool, reference_db,
-                                                  workload):
+    def test_union_matches_unsharded_store(self, pinned, workload):
         names = [n for n, _ in workload[:3]]
-        want = reference_db.store.union_filter(names)
-        got = pool.union_filter(names)
-        assert np.array_equal(got.bits.words, want.bits.words)
+        want = encode_result(pinned.leader.store.sample_union(names, rng=7))
+        assert ask_every_worker(pinned, "sample_union", names, seed=7) == \
+            [want] * pinned.num_workers
 
-    def test_intersection_filter_matches_unsharded_store(self, pool,
-                                                         reference_db,
-                                                         workload):
+    def test_intersection_matches_unsharded_store(self, pinned, workload):
         names = [n for n, _ in workload[:2]]
-        want = reference_db.store.intersection_filter(names)
-        got = pool.intersection_filter(names)
-        assert np.array_equal(got.bits.words, want.bits.words)
+        want = encode_result(
+            pinned.leader.store.sample_intersection(names, rng=7))
+        assert ask_every_worker(pinned, "sample_intersection", names,
+                                seed=7) == [want] * pinned.num_workers
 
-    def test_empty_names_rejected(self, pool):
-        with pytest.raises(ValueError):
-            pool.union_filter([])
+
+class TestWriteBroadcast:
+    """Every acknowledged leader write is visible on every worker."""
+
+    def free_ids(self, pool, count: int) -> np.ndarray:
+        return np.setdiff1d(np.arange(NAMESPACE, dtype=np.uint64),
+                            pool.leader.occupied)[:count]
+
+    def test_insert_broadcast_keeps_workers_identical(self, pinned,
+                                                      workload):
+        before = pinned.leader.occupied.size
+        pinned.insert_ids(self.free_ids(pinned, 200))
+        assert pinned.leader.occupied.size == before + 200
+        assert_workers_match_leader(pinned, [n for n, _ in workload[:4]],
+                                    seed=300)
+
+    def test_retire_broadcast_keeps_workers_identical(self, pinned,
+                                                      workload):
+        victims = self.free_ids(pinned, 150)
+        pinned.insert_ids(victims)
+        before = pinned.leader.occupied.size
+        pinned.retire_ids(victims)
+        assert pinned.leader.occupied.size == before - 150
+        assert not np.isin(victims, pinned.leader.occupied).any()
+        assert_workers_match_leader(pinned, [n for n, _ in workload[:4]],
+                                    seed=400)
+
+    def test_pool_compact_folds_the_leader_delta(self, pinned, workload):
+        pinned.compact()
+        pinned.insert_ids(self.free_ids(pinned, 5))
+        delta = pinned.leader.current_epoch().delta
+        assert delta is not None and not delta.is_empty
+        names = [n for n, _ in workload[:4]]
+        before = [direct_sample(pinned.leader, n, 4, 500) for n in names]
+        gen = pinned.epoch_state()["gen"]
+        pinned.compact()
+        delta = pinned.leader.current_epoch().delta
+        assert delta is None or delta.is_empty
+        assert pinned.epoch_state()["gen"] == gen + 1
+        assert [direct_sample(pinned.leader, n, 4, 500)
+                for n in names] == before
+        assert_workers_match_leader(pinned, names, seed=500)
+
+    def test_add_set_reaches_every_worker(self, pinned):
+        ids = self.free_ids(pinned, 120)
+        pinned.add_set("broadcast", ids)
+        assert_workers_match_leader(pinned, ["broadcast"], seed=600)
+        assert ask_every_worker(pinned, "contains", ("broadcast",),
+                                x=int(ids[7])) == \
+            [{"contains": True}] * pinned.num_workers
+
+    def test_extend_and_drop_reach_every_worker(self, pinned):
+        pinned.add_set("grow", np.arange(10, dtype=np.uint64))
+        pinned.extend_set("grow", np.arange(10, 20, dtype=np.uint64))
+        assert ask_every_worker(pinned, "contains", ("grow",), x=15) == \
+            [{"contains": True}] * pinned.num_workers
+        assert_workers_match_leader(pinned, ["grow"], seed=700)
+        pinned.drop_set("grow")
+        for shard in range(pinned.num_workers):
+            pinned.pin = shard
+            with pytest.raises(KeyError, match="grow"):
+                pinned.submit("sample", ("grow",)).result(60)
+
+
+class TestOccupancyBackends:
+    def test_pruned_pool_broadcasts_occupancy(self, pruned_pinned):
+        rng = np.random.default_rng(9)
+        ids = rng.choice(16_000, 400, replace=False).astype(np.uint64)
+        pruned_pinned.add_set("alpha", ids[:200])
+        pruned_pinned.add_set("beta", ids[200:])
+        assert pruned_pinned.leader.occupied.size == 400
+        # Each worker's tree saw every id: cross-set queries agree with
+        # the leader whichever worker executes them.
+        want = encode_result(
+            pruned_pinned.leader.store.sample_union(["alpha", "beta"],
+                                                    rng=7))
+        assert ask_every_worker(pruned_pinned, "sample_union",
+                                ("alpha", "beta"), seed=7) == \
+            [want] * pruned_pinned.num_workers
+        assert_workers_match_leader(pruned_pinned, ["alpha", "beta"],
+                                    seed=800)
+
+    def test_retire_requires_remove_support(self, pruned_pinned):
+        state = pruned_pinned.epoch_state()
+        with pytest.raises(BackendCapabilityError, match="dynamic"):
+            pruned_pinned.retire_ids(np.arange(60, 65, dtype=np.uint64))
+        assert pruned_pinned.epoch_state() == state
 
 
 class TestLifecycle:
-    def test_extend_and_drop(self, engine_config):
-        pool = ShardedEnginePool(engine_config, shards=2)
-        pool.add_set("grow", np.arange(10, dtype=np.uint64))
-        pool.extend_set("grow", np.arange(10, 20, dtype=np.uint64))
-        assert pool.contains("grow", 15)
-        pool.drop_set("grow")
-        assert "grow" not in pool
-        with pytest.raises(KeyError):
-            pool.filter("grow")
-
-    def test_from_engine_reshards_a_loaded_db(self, reference_db, workload):
-        pool = ShardedEnginePool.from_engine(reference_db, shards=3)
-        assert pool.names() == reference_db.names()
-        for name, _ in workload:
-            want = reference_db.filter(name)
-            got = pool.filter(name)
-            assert np.array_equal(got.bits.words, want.bits.words)
-            # Copied, not aliased: mutating the pool leaves the source alone.
-            assert got is not want
-
-    def test_invalid_shard_count(self, engine_config):
-        with pytest.raises(ValueError):
-            ShardedEnginePool(engine_config, shards=0)
-
-    def test_install_rejects_incompatible_and_duplicate_filters(
-            self, engine_config, reference_db):
-        from repro.api import BloomDB
-        from repro.core.store import DuplicateSetError
-
-        pool = ShardedEnginePool.from_engine(reference_db, shards=2)
-        name = reference_db.names()[0]
-        store = pool.engine_for(name).store
-        with pytest.raises(DuplicateSetError):
-            store.install(name, reference_db.filter(name).copy())
-        other = BloomDB.plan(namespace_size=500, accuracy=0.8, set_size=20,
-                             seed=1)
-        other.add_set("tiny", np.arange(5, dtype=np.uint64))
-        with pytest.raises(ValueError, match="incompatible"):
-            store.install("fresh", other.filter("tiny"))
-
-
-class TestEpochAtomicBroadcast:
-    """Regression for the half-updated-ring window: `register_ids` used
-    to mutate shards one engine at a time, so a concurrent reader could
-    sample shard A post-mutation and shard B pre-mutation.  The write
-    path now prepares every shard's next epoch first and promotes them
-    with one atomic tuple swap."""
-
-    def make_pool(self, shards=3, tree="dynamic"):
-        rng = np.random.default_rng(4)
-        occupied = np.sort(rng.choice(16_000, 2_000,
-                                      replace=False).astype(np.uint64))
-        config = EngineConfig(namespace_size=16_000, accuracy=0.9,
-                              set_size=150, tree=tree, plan="compiled",
-                              seed=3, compact_threshold=10.0)
-        pool = ShardedEnginePool(config, shards=shards, occupied=occupied)
-        pool.add_set("alpha", rng.choice(occupied, 150, replace=False))
-        return pool, occupied
-
-    def test_ring_snapshot_is_never_half_updated(self):
-        """Every epoch snapshot taken while a writer broadcasts shows
-        all shards on the same side of each mutation."""
-        import threading
-
-        pool, occupied = self.make_pool()
-        for engine in pool.engines:
-            engine.current_epoch()  # publish epoch 1 everywhere
-        free = np.setdiff1d(np.arange(16_000, dtype=np.uint64), occupied)
-        inconsistent = []
-        stop = threading.Event()
-
-        def snapshotter():
-            while not stop.is_set():
-                snapshot = pool.ring_epochs()
-                ids = {epoch.epoch for epoch in snapshot
-                       if epoch is not None}
-                if len(ids) > 1:
-                    inconsistent.append(tuple(
-                        epoch and epoch.epoch for epoch in snapshot))
-
-        reader = threading.Thread(target=snapshotter)
-        reader.start()
+    def test_from_engine_reshards_a_loaded_db(self, reference_db, workload,
+                                              tmp_path):
+        reference_db.save(tmp_path / "saved")
+        loaded = BloomDB.load(tmp_path / "saved")
+        pool = ProcessShardPool.from_engine(loaded, tmp_path / "served", 3)
         try:
-            for cycle in range(20):
-                pool.register_ids(free[cycle * 20:(cycle + 1) * 20])
+            assert pool.num_workers == 3
+            assert pool.leader.names() == reference_db.names()
+            for name, _ in workload:
+                want = reference_db.filter(name)
+                got = pool.leader.filter(name)
+                assert np.array_equal(got.bits.words, want.bits.words)
+                # Copied, not aliased: the pool's leader owns its state.
+                assert got is not loaded.filter(name)
+            name = workload[0][0]
+            pool.extend_set(name, np.arange(7_990, 8_000, dtype=np.uint64))
+            assert pool.leader.contains(name, 7_995)
+            assert np.array_equal(loaded.filter(name).bits.words,
+                                  reference_db.filter(name).bits.words)
+            assert not np.array_equal(pool.leader.filter(name).bits.words,
+                                      loaded.filter(name).bits.words)
         finally:
-            stop.set()
-            reader.join(10)
-        # All shards started at epoch 1 and receive identical mutation
-        # streams, so any snapshot mixing two epoch ids is exactly the
-        # half-updated ring the old code allowed.
-        assert not inconsistent
+            pool.close()
 
-    def test_retire_broadcast_keeps_shards_identical(self):
-        pool, occupied = self.make_pool()
-        victims = occupied[:300]
-        pool.retire_ids(victims)
-        for engine in pool.engines:
-            assert engine.occupied.size == occupied.size - 300
-            assert not np.isin(victims, engine.occupied).any()
+    def test_writes_before_start_reach_the_workers(self, workload,
+                                                   tmp_path):
+        """A write on an idle pool applies on the leader at once and is
+        replayed by workers started afterwards."""
+        db = build_db(workload, "dynamic")
+        pool = PinnedPool.from_engine(db, tmp_path / "engine", 2)
+        try:
+            victims = db.occupied[:50]
+            pool.retire_ids(victims)
+            assert pool.leader.occupied.size == db.occupied.size - 50
+            assert pool.epoch_state()["wal_seq"] == 1
+            pool.start()
+            assert_workers_match_leader(pool, [n for n, _ in workload[:3]],
+                                        seed=900)
+        finally:
+            pool.close()
 
-    def test_retire_requires_remove_support(self):
-        pool, occupied = self.make_pool(tree="pruned")
-        from repro.api import BackendCapabilityError
-
-        with pytest.raises(BackendCapabilityError):
-            pool.retire_ids(occupied[:10])
-
-    def test_pool_compact_folds_all_shard_deltas(self):
-        pool, occupied = self.make_pool()
-        for engine in pool.engines:
-            engine.current_epoch()
-        pool.retire_ids(occupied[:100])
-        assert any(epoch.delta is not None and not epoch.delta.is_empty
-                   for epoch in pool.ring_epochs())
-        pool.compact()
-        for epoch in pool.ring_epochs():
-            assert epoch.delta is None or epoch.delta.is_empty
+    def test_service_restarts_after_stop(self, reference_db, workload,
+                                         tmp_path):
+        pool = ProcessShardPool.from_engine(reference_db,
+                                            tmp_path / "engine", 1)
+        service = ProcessService(pool)
+        try:
+            with service:
+                first = service.sample(workload[0][0], r=3, seed=4)
+                pid = pool.workers_info()[0]["pid"]
+            assert service.readyz()["ready"] is False
+            with service:
+                second = service.sample(workload[0][0], r=3, seed=4)
+                assert service.readyz()["ready"] is True
+                assert pool.workers_info()[0]["pid"] != pid
+            assert first == second
+        finally:
+            service.close()

@@ -234,8 +234,12 @@ class TestGuardRails:
                 pool.submit("sample", ("set0",), rounds=0)
             with pytest.raises(ValueError, match="seed"):
                 pool.submit("sample", ("set0",), seed=-1)
-            with pytest.raises(ValueError, match="set name"):
-                pool.submit("reconstruct", ())
+            for op in ("reconstruct", "sample_union", "sample_intersection"):
+                with pytest.raises(ValueError, match="set name"):
+                    pool.submit(op, ())
+            for op in ("sample_union", "sample_intersection"):
+                with pytest.raises(ValueError, match="two set names"):
+                    pool.submit(op, ("set0",))
             assert pool.workers_info()[0]["restarts"] == 0
         finally:
             pool.close()

@@ -59,6 +59,16 @@ def slow(reference_db, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def nodelay(reference_db, tmp_path_factory):
+    """Two workers with no gather window: a batch is only what is
+    already queued when the worker looks."""
+    directory = tmp_path_factory.mktemp("nodelay") / "engine"
+    with serve(reference_db, directory, workers=2, max_batch=256,
+               max_delay_ms=0.0) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
 def unbatched(reference_db, tmp_path_factory):
     """One worker with ``max_batch=1``: coalescing disabled."""
     directory = tmp_path_factory.mktemp("unbatched") / "engine"
@@ -67,7 +77,8 @@ def unbatched(reference_db, tmp_path_factory):
 
 
 class TestInterleavingProperty:
-    @pytest.mark.parametrize("server", ["served", "slow", "unbatched"])
+    @pytest.mark.parametrize("server", ["served", "slow", "nodelay",
+                                        "unbatched"])
     def test_concurrent_singles_match_one_direct_batch(
             self, server, request, workload, reference_db):
         """N concurrent requests == one direct sample_many spec batch."""
