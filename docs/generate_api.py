@@ -20,7 +20,6 @@ import pathlib
 PACKAGES = [
     "repro.api",
     "repro.service",
-    "repro.replication",
     "repro.faultinject",
     "repro.durability",
     "repro.obs",

@@ -394,10 +394,9 @@ def _build_server(args):
     snapshot); ``--durable DIR`` open-or-creates a durable leader there,
     seeded from ``--db`` or an ephemeral engine on first run; otherwise
     an ephemeral engine is built, persisted to a temp directory and
-    served from it.  ``--replicas R`` (R > 1) serves each shard from an
-    R-member replica group with supervised failover
-    (:class:`~repro.replication.ReplicatedShardPool`); ``--ack quorum``
-    gates write acks on majority application.
+    served from it.  Every worker is a supervised replica (hung workers
+    are killed and respawned, reads route past dead ones); ``--ack
+    quorum`` gates write acks on a majority of workers applying them.
     """
     import pathlib
     import tempfile
@@ -411,23 +410,12 @@ def _build_server(args):
         ProcessShardPool,
     )
 
-    if args.replicas > 1:
-        from repro.replication import ReplicatedShardPool
-
-        def make_pool(directory, **kwargs):
-            return ReplicatedShardPool(
-                directory, args.workers, replication=args.replicas,
-                ack=args.ack, heartbeat_s=args.heartbeat_ms / 1000.0,
-                policy=policy, **kwargs)
-    else:
-        def make_pool(directory, **kwargs):
-            return ProcessShardPool(directory, args.workers,
-                                    policy=policy, **kwargs)
-
     try:
-        policy = BatchPolicy(max_batch=args.max_batch,
-                             max_delay_ms=args.max_delay_ms,
-                             queue_depth=args.queue_depth)
+        options = dict(
+            policy=BatchPolicy(max_batch=args.max_batch,
+                               max_delay_ms=args.max_delay_ms,
+                               queue_depth=args.queue_depth),
+            ack=args.ack, heartbeat_s=args.heartbeat_ms / 1000.0)
         if args.durable is not None:
             path = pathlib.Path(args.durable)
             refuse_ring_layout(path)
@@ -438,7 +426,8 @@ def _build_server(args):
             elif args.db is not None:
                 _log.warning("db_ignored", path=str(path),
                              reason="directory already holds an engine")
-            pool = make_pool(path, durable=True, sync=args.wal_sync)
+            pool = ProcessShardPool(path, args.workers, durable=True,
+                                    sync=args.wal_sync, **options)
             report = pool.recovery_report
             _log.info("leader_recovered", path=report.path,
                       epoch=report.recovered_epoch,
@@ -450,11 +439,11 @@ def _build_server(args):
             if not (pathlib.Path(args.db) / "engine.json").exists():
                 raise SystemExit(f"no saved engine at {args.db} "
                                  f"(expected an engine.json inside)")
-            pool = make_pool(args.db)
+            pool = ProcessShardPool(args.db, args.workers, **options)
         else:
             directory = pathlib.Path(tempfile.mkdtemp(prefix="repro-serve-"))
             _ephemeral_engine(args).save(directory)
-            pool = make_pool(directory)
+            pool = ProcessShardPool(directory, args.workers, **options)
     except (ValueError, DurabilityError) as exc:
         raise SystemExit(f"error: {exc}")
     return AsyncReproServer(ProcessService(pool), host=args.host,
@@ -659,8 +648,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{pool.num_workers} worker processes "
           f"(shared mmap snapshot, max_batch={pool.policy.max_batch}, "
           f"max_delay_ms={pool.policy.max_delay_ms}"
-          + (f", replication={args.replicas} ack={args.ack}"
-             if args.replicas > 1 else "")
+          + (", ack=quorum" if pool.ack == "quorum" else "")
           + (", durable" if pool.durable else "") + ")")
     print("endpoints: GET /healthz /readyz /stats /metrics /trace "
           "/workers; POST /sample /reconstruct /contains /sample-union "
@@ -797,26 +785,22 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, default=1024,
                        help="per-worker admission-control bound")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="shard worker processes attached to one "
-                            "shared mmap snapshot; writes route through "
-                            "the leader and fan out over per-worker "
-                            "WALs (default: 1)")
-    serve.add_argument("--replicas", type=int, default=1, metavar="R",
-                       help="serve each shard from an "
-                            "R-member replica group (WAL-shipping "
-                            "followers, heartbeat supervision, automatic "
-                            "leader failover; default: 1 — no "
-                            "replication)")
+                       help="worker processes attached to one shared "
+                            "mmap snapshot, each a supervised replica "
+                            "of every set; writes route through the "
+                            "leader and fan out over per-worker WALs "
+                            "(default: 1)")
     serve.add_argument("--ack", choices=("leader", "quorum"),
                        default="leader",
-                       help="write acknowledgement policy for --replicas: "
-                            "leader (records durable in every replica "
-                            "log, default) or quorum (additionally "
-                            "applied by a majority of each group)")
+                       help="write acknowledgement policy: leader "
+                            "(records durable in every worker log, "
+                            "default) or quorum (additionally applied by "
+                            "a majority of the workers)")
     serve.add_argument("--heartbeat-ms", type=float, default=250.0,
-                       help="replica heartbeat interval for --replicas "
-                            "(drives idle log tailing, hang detection "
-                            "and quorum acks; default: 250)")
+                       help="idle worker status interval (drives idle "
+                            "log tailing and quorum acks; a worker "
+                            "silent for max(10 heartbeats, 2 s) is "
+                            "killed as hung; default: 250)")
     serve.add_argument("--durable", default=None, metavar="DIR",
                        help="durable engine directory: initialised on "
                             "first run (from --db or an ephemeral "

@@ -601,14 +601,14 @@ class BloomDB:
         are also registered in the tree, keeping its candidate space in
         sync with the stored data.
         """
-        ids = self._as_ids(ids)
+        ids = self._registrable_ids(ids)
         self.store_set("add_set", name, ids)
         self._register_ids(ids)
         return self
 
     def extend_set(self, name: str, ids) -> "BloomDB":
         """Insert additional elements into an existing named set."""
-        ids = self._as_ids(ids)
+        ids = self._registrable_ids(ids)
         self.store_set("extend_set", name, ids)
         self._register_ids(ids)
         return self
@@ -980,6 +980,21 @@ class BloomDB:
     def _as_ids(ids) -> np.ndarray:
         """Normalise any id collection to a uint64 array."""
         return np.asarray(ids, dtype=np.uint64)
+
+    def _registrable_ids(self, ids) -> np.ndarray:
+        """``ids`` as ``uint64``, checked against the namespace up front.
+
+        Occupancy-tracking trees reject ids outside ``[0, M)``; checking
+        before the set is stored means a rejected write stores,
+        journals and fans out nothing.
+        """
+        ids = self._as_ids(ids)
+        if (self._spec.requires_occupied and ids.size
+                and int(ids.max()) >= self.config.namespace_size):
+            raise ValueError(
+                f"id {int(ids.max())} outside namespace "
+                f"[0, {self.config.namespace_size})")
+        return ids
 
     def _register_ids(self, ids: np.ndarray) -> None:
         """Keep occupancy-tracking backends in sync with stored data."""

@@ -878,52 +878,48 @@ def _run_serving_multiproc(params: dict) -> dict:
 
 
 def _run_replicated_failover(params: dict) -> dict:
-    """Failover drill: leader ``kill -9`` under read traffic.
+    """Failover drill: ``kill -9`` a worker under read traffic.
 
-    A :class:`~repro.replication.ReplicatedShardPool` serves seeded
-    sampling from replica groups over one promoted snapshot.  The drill
-    measures the three numbers that define the robustness story:
-    *promotion latency* (leader SIGKILL to the follower promotion,
-    i.e. write-path MTTR), *heal time* (SIGKILL to ``/readyz`` green —
-    the dead member respawned, replayed and rejoined), and *read
-    availability* through the outage (reads served vs. rejected while
-    the group is degraded).  Fidelity is gated by
-    ``identical_across_failover``: every seeded answer (values *and*
-    operation counters), probed often enough to touch each replica,
+    A :class:`~repro.service.procpool.ProcessShardPool` serves seeded
+    sampling; every worker holds every set.  The drill kills the ring
+    owner of the first set and reads only the sets that worker owned,
+    measuring the three numbers that define the robustness story:
+    *reroute time* (SIGKILL to the first of those reads answered by
+    another worker), *heal time* (SIGKILL to ``/readyz`` green — the
+    dead worker respawned, replayed and rejoined), and *read
+    availability* through the outage (reads served vs. rejected).
+    Fidelity is gated by ``identical_across_failover``: every seeded
+    answer (values *and* operation counters), whether a fallback
+    worker served it during the outage or its owner after the heal,
     must be byte-equal to its pre-kill value.
     """
     import shutil
     import tempfile
 
-    from repro.replication import ReplicatedShardPool
-    from repro.service import ServiceOverloadedError
+    from repro.service import ProcessShardPool, ServiceOverloadedError
 
     rounds = int(params.get("rounds", 8))
-    groups = int(params.get("shard_groups", 2))
-    replication = int(params.get("replication", 2))
+    workers = int(params.get("workers", 4))
     requests = int(params["requests"])
 
     db, names = build_engine(params)
     compiled_db = _compiled_twin(db)
+    seeds = {name: 4_242 + i for i, name in enumerate(names)}
 
-    def counter(pool, name: str) -> float:
-        return sum(pool.metrics.export()["counters"]
-                   .get(name, {}).values())
+    def sample(pool, name: str, seed: int):
+        return pool.submit("sample", (name,), rounds=rounds,
+                           seed=seed).result(300)
 
     tmp = tempfile.mkdtemp(prefix="repro-failover-")
     try:
         compiled_db.save(tmp)
-        pool = ReplicatedShardPool(tmp, workers=groups,
-                                   replication=replication,
-                                   heartbeat_s=0.05, hang_timeout_s=1.0)
+        pool = ProcessShardPool(tmp, workers, heartbeat_s=0.05,
+                                hang_timeout_s=1.0)
         pool.start()
         try:
             for name in names:  # fault the mmap pages in before timing
-                pool.submit("sample", (name,), rounds=rounds,
-                            seed=0).result(300)
-            pre = {name: pool.submit("sample", (name,), rounds=rounds,
-                                     seed=4_242 + i).result(300)
-                   for i, name in enumerate(names)}
+                sample(pool, name, 0)
+            pre = {name: sample(pool, name, seeds[name]) for name in names}
 
             plan = [(names[i % len(names)], i) for i in range(requests)]
             start = time.perf_counter()
@@ -933,35 +929,34 @@ def _run_replicated_failover(params: dict) -> dict:
                 future.result(300)
             healthy_s = time.perf_counter() - start
 
-            failovers_before = counter(pool, "replication_failovers")
+            victim = pool.shard_of(names[0])
+            owned = [name for name in names if pool.shard_of(name) == victim]
             killed_at = time.perf_counter()
-            pool.kill_leader(0)
+            pool.kill_worker(victim)
 
             served = rejected = 0
-            promotion_s = None
+            reroute_s = None
+            identical = True
             deadline = killed_at + 60.0
             while time.perf_counter() < deadline:
-                if promotion_s is None and \
-                        counter(pool,
-                                "replication_failovers") > failovers_before:
-                    promotion_s = time.perf_counter() - killed_at
-                name = names[(served + rejected) % len(names)]
+                name = owned[(served + rejected) % len(owned)]
                 try:
-                    pool.submit("sample", (name,), rounds=rounds,
-                                seed=7).result(60)
-                    served += 1
+                    answer = sample(pool, name, seeds[name])
                 except ServiceOverloadedError:
                     rejected += 1
-                if promotion_s is not None and pool.readyz()["ready"]:
+                else:
+                    served += 1
+                    identical = identical and answer == pre[name]
+                    if reroute_s is None:
+                        reroute_s = time.perf_counter() - killed_at
+                if reroute_s is not None and pool.readyz()["ready"]:
                     break
             heal_s = time.perf_counter() - killed_at
 
-            identical = promotion_s is not None
-            for i, name in enumerate(names):
-                for _ in range(replication):
-                    answer = pool.submit("sample", (name,), rounds=rounds,
-                                         seed=4_242 + i).result(300)
-                    identical = identical and answer == pre[name]
+            identical = identical and reroute_s is not None
+            for name in names:
+                identical = identical and sample(
+                    pool, name, seeds[name]) == pre[name]
         finally:
             pool.close()
     finally:
@@ -971,16 +966,15 @@ def _run_replicated_failover(params: dict) -> dict:
     return {
         "requests": requests,
         "engine": db.describe(),
-        "shard_groups": groups,
-        "replication": replication,
+        "workers": workers,
         "identical_across_failover": bool(identical),
         "healthy": {
             "seconds": round(healthy_s, 6),
             "throughput_rps": round(requests / healthy_s, 1),
         },
         "failover": {
-            "promotion_s": (None if promotion_s is None
-                            else round(promotion_s, 6)),
+            "reroute_s": (None if reroute_s is None
+                          else round(reroute_s, 6)),
             "heal_s": round(heal_s, 6),
             "reads_during_outage": outage_reads,
             "reads_served": served,

@@ -244,26 +244,28 @@ _register(Scenario(
               max_delay_ms=2.0),
 ))
 
-# Robustness drill for the replicated tier: SIGKILL a shard-group
-# leader under seeded read traffic and measure promotion latency
-# (write-path MTTR), heal time (/readyz green again), and read
-# availability through the outage — with every seeded answer gated
-# byte-identical to its pre-kill value (values and OpCounters).
+# Robustness drill for the process pool: SIGKILL the owner of a set
+# under seeded read traffic and measure reroute time (the first of its
+# reads answered by another worker), heal time (/readyz green again),
+# and read availability through the outage — with every seeded answer
+# gated byte-identical to its pre-kill value (values and OpCounters).
+# The name is kept from the replica-group drill it replaced, so its
+# history series continues.
 _register(Scenario(
     name="replicated_failover",
     kind="serving",
-    title="Replicated-ring failover drill: leader kill -9 under read "
-          "traffic (promotion latency, heal time, bit-identity)",
-    maps_to="ROADMAP robustness direction (replicated serving, "
-            "supervised failover, zero acknowledged-write loss)",
+    title="Worker failover drill: owner kill -9 under read traffic "
+          "(reroute time, heal time, bit-identity)",
+    maps_to="ROADMAP robustness direction (every worker a supervised "
+            "replica, zero acknowledged-write loss)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=8,
                family="md5", tree="static", depth=4,
                replicated_failover=True, requests=400, rounds=8,
-               shard_groups=2, replication=2),
+               workers=4),
     full=dict(_COMMON, namespace=100_000, set_size=1_000, num_sets=16,
               family="md5", tree="static", depth=6,
               replicated_failover=True, requests=2_000, rounds=16,
-              shard_groups=2, replication=2),
+              workers=4),
 ))
 
 _register(Scenario(

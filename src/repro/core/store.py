@@ -131,12 +131,18 @@ class FilterStore:
         are copied on first write, so mutation works transparently while
         untouched sets keep sharing the mapped pages.
         """
+        self.add_positions(name, self.family.positions_many(
+            np.asarray(items, dtype=np.uint64)))
+
+    def add_positions(self, name: str, rows: np.ndarray) -> None:
+        """:meth:`add` with the elements' ``(n, k)`` position rows given,
+        so a caller can hash many sets' elements in one pass."""
         with self._lock:
             bloom = self._get(name)
             if not bloom.bits.words.flags.writeable:
                 bloom = bloom.copy()
                 self._filters[name] = bloom
-            bloom.add_many(np.asarray(items, dtype=np.uint64))
+            bloom.add_positions(rows)
 
     def discard(self, name: str) -> None:
         """Drop a named set."""

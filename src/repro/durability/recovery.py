@@ -33,6 +33,8 @@ import dataclasses
 import pathlib
 import time
 
+import numpy as np
+
 from repro.api.engine import (
     _ENGINE_FILE,
     _PLAN_FILE,
@@ -105,24 +107,35 @@ class RecoveryReport:
         return dataclasses.asdict(self)
 
 
-def _replay_set_record(db: BloomDB, record) -> None:
+def _replay_set_record(db: BloomDB, record, rows: np.ndarray) -> None:
     """Apply one set record idempotently, store-only.
 
     Create replaces (the snapshot may already hold the set), extend ORs
     into the filter (re-adding the same items is a no-op for a plain
     Bloom filter) — so replaying records the snapshot already covers
     converges instead of corrupting.  Occupancy registration is *not*
-    repeated here: it was journalled as its own insert record.
+    repeated here: it was journalled as its own insert record.  ``rows``
+    are the record's ids already hashed (:func:`_set_record_rows`).
     """
-    if record.op == "add_set":
-        if record.name in db.store:
-            db.store.discard(record.name)
-        db.store.create(record.name, record.ids)
-    else:
-        if record.name in db.store:
-            db.store.add(record.name, record.ids)
-        else:
-            db.store.create(record.name, record.ids)
+    if record.op == "add_set" and record.name in db.store:
+        db.store.discard(record.name)
+    if record.name not in db.store:
+        db.store.create(record.name)
+    db.store.add_positions(record.name, rows)
+
+
+def _set_record_rows(db: BloomDB, records) -> list:
+    """The position rows of every set record's ids, in record order.
+
+    Hashed in one kernel pass over all of them: per-record passes over
+    a few dozen ids cost mostly call overhead, and a worker tailing a
+    burst of ``add_set`` writes replays hundreds at once.
+    """
+    ids = [record.ids for record in records if record.op in SET_OPS]
+    if not ids:
+        return []
+    rows = db.store.family.positions_many(np.concatenate(ids))
+    return np.split(rows, np.cumsum([part.size for part in ids])[:-1])
 
 
 def replay_records(db: BloomDB, records, snapshot_epoch: int, *,
@@ -142,10 +155,11 @@ def replay_records(db: BloomDB, records, snapshot_epoch: int, *,
     (``replayed`` / ``skipped`` / ``set_records`` / ``ids_applied``).
     """
     replayed = skipped = set_records = ids_applied = 0
+    set_rows = iter(_set_record_rows(db, records))
     with db.suspend_durability():
         for record in records:
             if record.op in SET_OPS:
-                _replay_set_record(db, record)
+                _replay_set_record(db, record, next(set_rows))
                 set_records += 1
             elif record.op in OCCUPANCY_OPS:
                 if record.epoch <= snapshot_epoch:
@@ -290,7 +304,7 @@ def inspect_wal(path) -> dict:
     workers_root = path / "wal-workers"
     if workers_root.is_dir():
         # A process-pool serving directory: summarise every shipped
-        # per-worker/replica log alongside the leader's WAL.
+        # per-worker log alongside the leader's WAL.
         logs = []
         for log_dir in sorted(p for p in workers_root.iterdir()
                               if p.is_dir()):

@@ -189,7 +189,10 @@ def decode_payload(payload: bytes) -> WalRecord:
     body = payload[_PAYLOAD_PREFIX.size:]
     if len(body) < name_len or (len(body) - name_len) % 8:
         raise CorruptWalError("record payload has inconsistent lengths")
-    name = body[:name_len].decode("utf-8")
+    try:
+        name = body[:name_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptWalError("record set name is not valid UTF-8") from None
     ids = np.frombuffer(body[name_len:], dtype="<u8").astype(
         np.uint64, copy=False)
     return WalRecord(op=op, epoch=int(epoch), name=name, ids=ids)
@@ -209,32 +212,36 @@ def _list_segments(directory: pathlib.Path) -> list[pathlib.Path]:
     return sorted(segments, key=_segment_index)
 
 
-def _scan_segment(path: pathlib.Path) -> tuple[list[WalRecord], int, bool]:
-    """Decode one segment: ``(records, valid_end_offset, torn)``.
+def _scan_segment(path: pathlib.Path,
+                  start: int = 0) -> tuple[list[WalRecord], int, bool]:
+    """Decode one segment from byte ``start``:
+    ``(records, valid_end_offset, torn)``.
 
     ``torn`` marks a trailing partial/corrupt record; whether that is
     tolerable (last segment) or fatal (earlier segment) is the caller's
     call — truncation from a crash can only ever hit the newest segment.
     """
     records: list[WalRecord] = []
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
     offset = 0
     while offset < len(data):
         header = data[offset:offset + _RECORD_HEADER.size]
         if len(header) < _RECORD_HEADER.size:
-            return records, offset, True
+            return records, start + offset, True
         length, crc = _RECORD_HEADER.unpack(header)
-        start = offset + _RECORD_HEADER.size
-        payload = data[start:start + length]
+        begin = offset + _RECORD_HEADER.size
+        payload = data[begin:begin + length]
         if length < _PAYLOAD_PREFIX.size or len(payload) < length \
                 or checksum(payload) != crc:
-            return records, offset, True
+            return records, start + offset, True
         try:
             records.append(decode_payload(payload))
         except CorruptWalError:
-            return records, offset, True
-        offset = start + length
-    return records, offset, False
+            return records, start + offset, True
+        offset = begin + length
+    return records, start + offset, False
 
 
 def _read_clean_marker(directory: pathlib.Path) -> dict | None:
@@ -283,6 +290,36 @@ def scan_log(directory) -> WalScan:
     return WalScan(records=records, torn_tail=torn,
                    clean=_marker_matches(marker, segments),
                    segments=[s.name for s in segments])
+
+
+class LogTail:
+    """Incremental reader of a log directory another process appends to.
+
+    Each :meth:`read` decodes only the whole records appended since the
+    previous one — tailing costs what the log grew by, not its size.  A
+    partial final record is left for the next read.
+    """
+
+    def __init__(self, directory):
+        self.directory = pathlib.Path(directory)
+        self._segment = -1
+        self._offset = 0
+
+    def read(self) -> list[WalRecord]:
+        """Every whole record appended since the last call, in order."""
+        records: list[WalRecord] = []
+        for segment in _list_segments(self.directory):
+            index = _segment_index(segment)
+            if index < self._segment:
+                continue
+            start = self._offset if index == self._segment else 0
+            try:
+                new, end, _ = _scan_segment(segment, start)
+            except FileNotFoundError:  # removed by a truncate: superseded
+                continue
+            records.extend(new)
+            self._segment, self._offset = index, end
+        return records
 
 
 class WriteAheadLog:
@@ -398,13 +435,14 @@ class WriteAheadLog:
             else:
                 self._fsync()
 
-    def truncate(self, epoch: int) -> int:
+    def truncate(self, epoch: int, name: str = "") -> int:
         """Drop segments made obsolete by a checkpoint at ``epoch``.
 
         Rotates to a fresh segment whose first record is
         ``checkpoint(epoch)`` (fsync'd before anything is deleted), then
-        removes every older segment.  Returns the number of segments
-        deleted.  Crash-safe at any point: recovery filters occupancy
+        removes every older segment.  ``name`` labels the checkpoint
+        record (a serving pool's worker logs carry their generation).
+        Returns the number of segments deleted.  Crash-safe at any point: recovery filters occupancy
         replay by the epoch bound inside the snapshot, so a log that
         still carries pre-checkpoint records merely wastes scan time.
         """
@@ -416,7 +454,7 @@ class WriteAheadLog:
             self._segment_index += 1
             self._open_segment()
             self._fh.write(encode_record(
-                "checkpoint", epoch, "", np.empty(0, dtype=np.uint64)))
+                "checkpoint", epoch, name, np.empty(0, dtype=np.uint64)))
             self._fsync()
             removed = 0
             for segment in _list_segments(self.directory):

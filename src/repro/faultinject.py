@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the serving and replication tiers.
+"""Deterministic fault injection for the process-pool serving tier.
 
 Robustness claims are only as good as the faults they were tested
 against, so this module makes fault testing *seeded and repeatable*
@@ -10,22 +10,22 @@ a chaos-test failure reproduces from its seed alone.
 Faults covered (the crash menagerie of ``docs/replication.md``):
 
 ``kill9``
-    ``SIGKILL`` a member process — the classic crash.  Death is detected
-    by the pool's response pump; a killed *leader* triggers promotion.
+    ``SIGKILL`` a worker process — the classic crash.  Death is detected
+    by the pool's response pump; reads route past the dead worker until
+    its respawn has replayed.
 ``hang``
-    ``SIGSTOP`` a member — alive but silent, the failure mode liveness
+    ``SIGSTOP`` a worker — alive but silent, the failure mode liveness
     checks miss.  Only the heartbeat supervisor catches these (and
     ``SIGKILL`` works fine on a stopped process).
 ``pipe_drop``
-    Tear down a member's request queue parent-side — submits fail, the
-    handle is marked torn, and the supervisor kills the member so the
-    respawn rebuilds fresh queues.  Needs a supervised (replicated)
-    pool to self-heal.
+    Tear down a worker's request queue parent-side — routing skips the
+    torn handle, and the supervisor kills the worker so the respawn
+    rebuilds fresh queues.
 ``slow_fsync``
     Stall every WAL fsync in this process by a fixed delay (a degraded
     disk) via :func:`repro.durability.wal.set_fsync_stall`.
 ``resume``
-    ``SIGCONT`` previously stopped members (useful for schedules that
+    ``SIGCONT`` previously stopped workers (useful for schedules that
     hang-and-release rather than letting the supervisor shoot).
 
 Plus :func:`tear_wal_tail`, the offline fault: truncate a log's final
@@ -64,12 +64,11 @@ DEFAULT_KINDS = ("kill9", "hang", "pipe_drop")
 
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled fault: *what* to break, *where*, at which step."""
+    """One scheduled fault: *what* to break, *which worker*, at which step."""
 
     step: int
     kind: str
-    shard: int = 0
-    slot: int = 0
+    worker: int = 0
     seconds: float = 0.0
 
     def describe(self) -> dict:
@@ -92,14 +91,13 @@ class FaultSchedule:
     events: tuple
 
     @classmethod
-    def generate(cls, seed: int, *, steps: int, shards: int,
-                 replication: int = 1, kinds=DEFAULT_KINDS,
-                 rate: float = 0.3) -> "FaultSchedule":
+    def generate(cls, seed: int, *, steps: int, workers: int,
+                 kinds=DEFAULT_KINDS, rate: float = 0.3) -> "FaultSchedule":
         """Expand ``seed`` into a schedule over ``steps`` workload steps.
 
         Each step independently carries a fault with probability
-        ``rate``; the kind, target shard and replica slot are drawn
-        uniformly.  ``slow_fsync`` events get a 5–50 ms stall.
+        ``rate``; the kind and the target worker are drawn uniformly.
+        ``slow_fsync`` events get a 5–50 ms stall.
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be within [0, 1]")
@@ -115,8 +113,7 @@ class FaultSchedule:
             kind = rng.choice(list(kinds))
             events.append(FaultEvent(
                 step=step, kind=kind,
-                shard=rng.randrange(max(1, int(shards))),
-                slot=rng.randrange(max(1, int(replication))),
+                worker=rng.randrange(max(1, int(workers))),
                 seconds=(round(rng.uniform(0.005, 0.05), 4)
                          if kind == "slow_fsync" else 0.0)))
         return cls(seed=int(seed), steps=int(steps), events=tuple(events))
@@ -132,14 +129,12 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Applies :class:`FaultEvent`\\ s to a live process pool.
+    """Applies :class:`FaultEvent`\\ s to a live
+    :class:`~repro.service.procpool.ProcessShardPool`.
 
-    Works against both :class:`~repro.service.procpool.ProcessShardPool`
-    (``slot`` is ignored — each shard has one member) and
-    :class:`~repro.replication.ReplicatedShardPool` (``shard``/``slot``
-    address one replica).  ``clear()`` undoes the *reversible* faults
-    (stops and fsync stalls); killed members are the pool's respawn
-    machinery's job, which is the point.
+    Faults address one worker by index.  ``clear()`` undoes the
+    *reversible* faults (stops and fsync stalls); killed workers are the
+    pool's respawn machinery's job, which is the point.
     """
 
     def __init__(self, pool):
@@ -147,38 +142,31 @@ class FaultInjector:
         self._stopped: list[int] = []
         self._stall_installed = False
 
-    # -- addressing -----------------------------------------------------------
-
-    def _member(self, shard: int, slot: int) -> int:
-        if hasattr(self.pool, "member_index"):
-            return self.pool.member_index(shard, slot)
-        return shard
-
-    def _pid(self, shard: int, slot: int) -> int:
-        handle = self.pool._workers[self._member(shard, slot)]
+    def _pid(self, worker: int) -> int:
+        handle = self.pool._workers[worker]
         if handle.process is None:
-            raise ValueError(f"member {shard}/{slot} has no live process")
+            raise ValueError(f"worker {worker} has no live process")
         return handle.process.pid
 
     # -- faults ---------------------------------------------------------------
 
-    def kill9(self, shard: int, slot: int = 0) -> int:
-        """SIGKILL one member; returns the pid killed."""
-        pid = self._pid(shard, slot)
+    def kill9(self, worker: int) -> int:
+        """SIGKILL one worker; returns the pid killed."""
+        pid = self._pid(worker)
         os.kill(pid, signal.SIGKILL)
-        _log.info("fault_kill9", shard=shard, slot=slot, pid=pid)
+        _log.info("fault_kill9", worker=worker, pid=pid)
         return pid
 
-    def hang(self, shard: int, slot: int = 0) -> int:
-        """SIGSTOP one member (alive, silent); returns the pid stopped."""
-        pid = self._pid(shard, slot)
+    def hang(self, worker: int) -> int:
+        """SIGSTOP one worker (alive, silent); returns the pid stopped."""
+        pid = self._pid(worker)
         os.kill(pid, signal.SIGSTOP)
         self._stopped.append(pid)
-        _log.info("fault_hang", shard=shard, slot=slot, pid=pid)
+        _log.info("fault_hang", worker=worker, pid=pid)
         return pid
 
     def resume(self) -> int:
-        """SIGCONT every member this injector stopped; returns the count."""
+        """SIGCONT every worker this injector stopped; returns the count."""
         resumed = 0
         while self._stopped:
             pid = self._stopped.pop()
@@ -189,20 +177,17 @@ class FaultInjector:
                 pass  # the supervisor already shot it
         return resumed
 
-    def pipe_drop(self, shard: int, slot: int = 0) -> int:
-        """Tear down one member's request queue; returns the member index.
+    def pipe_drop(self, worker: int) -> int:
+        """Tear down one worker's request queue; returns the worker index.
 
-        Submits routed there fail as :class:`WorkerDiedError` (503) and
-        the supervisor kills the member so its respawn rebuilds fresh
-        queues — on an unsupervised pool the member stays wedged, which
-        is exactly the gap the replicated tier's supervisor closes.
+        Routing skips the torn handle, and the supervisor kills the
+        worker so its respawn rebuilds fresh queues.
         """
-        member = self._member(shard, slot)
-        handle = self.pool._workers[member]
+        handle = self.pool._workers[worker]
         handle.requests.close()
         handle.pipe_torn = True
-        _log.info("fault_pipe_drop", shard=shard, slot=slot, member=member)
-        return member
+        _log.info("fault_pipe_drop", worker=worker)
+        return worker
 
     def slow_fsync(self, seconds: float) -> None:
         """Stall every WAL fsync in this process by ``seconds``."""
@@ -211,7 +196,7 @@ class FaultInjector:
         _log.info("fault_slow_fsync", seconds=seconds)
 
     def clear(self) -> None:
-        """Undo reversible faults: resume stopped members, clear stalls."""
+        """Undo reversible faults: resume stopped workers, clear stalls."""
         self.resume()
         if self._stall_installed:
             _wal.set_fsync_stall(0.0)
@@ -222,11 +207,11 @@ class FaultInjector:
     def apply(self, event: FaultEvent) -> None:
         """Apply one scheduled event (see :data:`FAULT_KINDS`)."""
         if event.kind == "kill9":
-            self.kill9(event.shard, event.slot)
+            self.kill9(event.worker)
         elif event.kind == "hang":
-            self.hang(event.shard, event.slot)
+            self.hang(event.worker)
         elif event.kind == "pipe_drop":
-            self.pipe_drop(event.shard, event.slot)
+            self.pipe_drop(event.worker)
         elif event.kind == "slow_fsync":
             self.slow_fsync(event.seconds)
         elif event.kind == "resume":

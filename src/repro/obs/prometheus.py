@@ -53,17 +53,12 @@ HELP_TEXTS = {
         "Workers killed by the supervisor for heartbeat silence.",
     "worker_pipe_drops_total":
         "Workers killed by the supervisor over a torn request pipe.",
-    "replication_failovers_total":
-        "Follower promotions after a shard leader died or hung.",
-    "replication_records_shipped_total":
-        "WAL records appended across all replica logs.",
-    "replication_lag": "Shipped-minus-applied records per shard group.",
-    "replication_lag_max": "Worst replication lag across shard groups.",
-    "replication_factor": "Replicas serving each shard group.",
+    "replication_lag_max":
+        "Worst shipped-minus-applied worker-log record count.",
     "wal_fsync_stalls_total":
         "WAL fsyncs delayed by an injected slow-disk stall.",
     "replica_refresh_errors_total":
-        "Replica idle-refresh attempts that failed (lag persists).",
+        "Worker idle-refresh attempts that failed (lag persists).",
     "frontier_cache_hits_total": "Compiled-plan frontier cache hits.",
     "frontier_cache_misses_total": "Compiled-plan frontier cache misses.",
     "epochs_minted_total": "Delta-overlay epochs minted.",

@@ -6,17 +6,20 @@ queries online; the batched kernels make those queries fast in bulk.
 This package turns a stream of independent requests into kernel-sized
 batches and serves them from worker processes:
 
-* :class:`ProcessShardPool` (:mod:`repro.service.procpool`) — one
-  worker *process* per shard, attached read-only to the promoted
+* :class:`ProcessShardPool` (:mod:`repro.service.procpool`) — W
+  worker *processes*, each attached read-only to the promoted
   ``plan.bst`` / ``sets.bst`` snapshot via ``np.memmap`` (one physical
-  copy for the whole pool).  Set names route to workers by
-  :class:`ConsistentHashRing`; each worker coalesces its queue under a
-  :class:`BatchPolicy` and dispatches through the batched engine entry
-  points.  Writes go through the leader (the parent process) and fan
-  out over per-worker WALs; epochs promote by atomic version-file swap;
-  a killed worker is respawned (:class:`WorkerDiedError` → HTTP 503).
-  The replicated pool on top of it (``--replicas R``) lives in
-  :mod:`repro.replication`.
+  copy for the whole pool) and each a full replica of the leader's
+  state.  A set name routes to its :class:`ConsistentHashRing` owner,
+  or to the next live worker on the ring while the owner is down; each
+  worker coalesces its queue under a :class:`BatchPolicy` and
+  dispatches through the batched engine entry points.  Writes go
+  through the leader (the parent process) and fan out over per-worker
+  WALs (``ack="quorum"`` waits for a majority to apply them,
+  :class:`ReplicationLagError` → HTTP 503); epochs promote by atomic
+  version-file swap; a killed worker is respawned
+  (:class:`WorkerDiedError` → HTTP 503), and the :class:`Supervisor`
+  kills hung workers into that same path.
 * :class:`ProcessService` — the client-shaped facade: one method per
   HTTP route, returning the route's JSON dict.  Stochastic requests
   always run with an explicit seed (the caller's, or a derived one), so
@@ -46,8 +49,10 @@ from repro.service.aserver import AsyncReproServer
 from repro.service.procpool import (
     ProcessService,
     ProcessShardPool,
+    ReplicationLagError,
     WorkerDiedError,
 )
+from repro.service.supervisor import Supervisor
 
 __all__ = [
     "AsyncReproServer",
@@ -56,7 +61,9 @@ __all__ = [
     "HTTPServiceClient",
     "ProcessService",
     "ProcessShardPool",
+    "ReplicationLagError",
     "RetryPolicy",
     "ServiceOverloadedError",
+    "Supervisor",
     "WorkerDiedError",
 ]

@@ -66,7 +66,8 @@ def _response_bytes(status: int, payload: dict, *,
 async def _read_request(reader: asyncio.StreamReader):
     """Parse one request; returns ``(method, path, body_dict)``.
 
-    Returns ``None`` on a cleanly closed or idle-timed-out connection.
+    Returns ``None`` on a closed or idle-timed-out connection; raises
+    :class:`_BadRequest` for anything malformed — nothing else escapes.
     """
     try:
         head = await asyncio.wait_for(
@@ -97,12 +98,17 @@ async def _read_request(reader: asyncio.StreamReader):
         raise _BadRequest("invalid Content-Length")
     if length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
-    raw = await reader.readexactly(length) if length else b""
+    try:
+        raw = await reader.readexactly(length) if length else b""
+    except (asyncio.IncompleteReadError, ConnectionResetError):
+        return None  # closed mid-body: nothing to answer
     if not raw:
         return method, path, {}
     try:
         body = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):
+        # RecursionError: nesting deeper than the parser's stack, well
+        # under the size cap — malformed input like any other.
         raise _BadRequest("request body is not valid JSON") from None
     if not isinstance(body, dict):
         raise _BadRequest("request body must be a JSON object")
@@ -181,8 +187,6 @@ class AsyncReproServer:
                     writer.write(_response_bytes(400, {"error": str(exc)},
                                                  keep_alive=False))
                     await writer.drain()
-                    break
-                except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 if request is None:
                     break

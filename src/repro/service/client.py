@@ -250,9 +250,9 @@ class HTTPServiceClient:
     def readyz(self) -> dict:
         """Readiness probe; returns the payload even when not ready.
 
-        The server answers 503 with the same JSON body while the ring
+        The server answers 503 with the same JSON body while a worker
         is attaching or replication lag is over threshold — that body
-        (``ready: false`` plus the per-shard detail) is the answer a
+        (``ready: false`` plus the alive and lag detail) is the answer a
         poller wants, so it is returned rather than raised, and never
         blindly retried.
         """

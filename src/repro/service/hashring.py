@@ -1,13 +1,13 @@
-"""Consistent-hash routing of set names onto engine shards.
+"""Consistent-hash routing of set names onto worker processes.
 
-The sharded pool partitions the *data* (named Bloom-filter sets) across
-engines while every shard indexes the same namespace, so any shard can
-answer any query over the filters it holds.  Names are placed on a
-classic consistent-hash ring (MD5 points, ``replicas`` virtual nodes per
-shard): routing is stable under renumbering-free shard-count changes —
-growing from N to N+1 shards moves only ~1/(N+1) of the names — which is
-what lets a saved engine be re-sharded into a differently-sized pool
-without rewriting every placement.
+Every worker of the process pool holds every set, so routing is about
+cache affinity, not data placement: a name's owner keeps that set's
+descent frontier warm.  Names are placed on a classic consistent-hash
+ring (MD5 points, ``replicas`` virtual nodes per shard): routing is
+stable under renumbering-free shard-count changes — growing from N to
+N+1 shards moves only ~1/(N+1) of the names — and
+:meth:`ConsistentHashRing.preference` orders the fallbacks a read takes
+while its owner is down.
 """
 
 from __future__ import annotations
@@ -59,6 +59,28 @@ class ConsistentHashRing:
         if idx == len(self._points):
             idx = 0  # wrap around the ring
         return self._shards[idx]
+
+    def preference(self, name: str) -> list[int]:
+        """Every shard once, in ring order from ``name``'s owner.
+
+        The first entry is :meth:`shard_for`; the rest are the fallbacks
+        in the order a clockwise walk meets them, so a name's fallback
+        order is as stable under resizing as its owner.
+
+        >>> ring = ConsistentHashRing(4)
+        >>> order = ring.preference("community_7")
+        >>> order[0] == ring.shard_for("community_7"), sorted(order)
+        (True, [0, 1, 2, 3])
+        """
+        start = bisect.bisect_right(self._points, stable_hash(name))
+        order: list[int] = []
+        for i in range(len(self._shards)):
+            shard = self._shards[(start + i) % len(self._shards)]
+            if shard not in order:
+                order.append(shard)
+                if len(order) == self.num_shards:
+                    break
+        return order
 
     def __repr__(self) -> str:
         return (f"ConsistentHashRing(shards={self.num_shards}, "

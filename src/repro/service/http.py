@@ -41,15 +41,15 @@ for duplicate set creation or durability misuse (``/checkpoint`` on a
 non-durable pool), 503 when admission control rejects (worker queue
 full), a worker died mid-request, or a quorum ack timed out, 500
 otherwise.  Every 503 carries ``Retry-After: 1`` — the condition is
-transient by construction (queues drain, workers respawn, followers
-promote) and retry-capable clients
+transient by construction (queues drain, workers respawn, reads route
+to live workers) and retry-capable clients
 (:class:`~repro.service.client.RetryPolicy`) honour the hint.
 
 ``/healthz`` vs ``/readyz``: liveness only says the process answers;
-readiness says the pool can actually serve — every worker attached and
-alive, and (replicated pools) every shard group led with replication
-lag under threshold.  ``/readyz`` answers 503 with the same JSON body
-while not ready, so boot/failover pollers can watch one endpoint.
+readiness says the pool can actually serve — every worker attached,
+alive and with an intact pipe, and replication lag under threshold.
+``/readyz`` answers 503 with the same JSON body while not ready, so
+boot/failover pollers can watch one endpoint.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""The serving tier: a process-per-shard pool over shared mmap plans.
+"""The serving tier: a pool of worker processes over shared mmap plans.
 
-Each shard worker is a real OS *process* that attaches to the promoted
+Each worker is a real OS *process* that attaches to the promoted
 ``plan.bst`` / ``sets.bst`` snapshot via ``np.memmap`` — the page cache
 gives every worker the same physical read-only bytes, so N workers cost
 one plan in RAM — while the parent process runs the front end and owns
-all writes.
+all writes.  Every worker holds every set and replays every write, so
+each one is a full replica of the leader's state.
 
 Serving directory layout (one engine directory, extended)::
 
@@ -17,13 +18,16 @@ Serving directory layout (one engine directory, extended)::
 
 The coordination protocol, in full:
 
-* **Reads** are routed by a consistent-hash ring over set names,
-  enqueued on the owning worker's ``multiprocessing`` queue, gathered
-  under the :class:`~repro.service.scheduler.BatchPolicy` and dispatched
-  through the batched engine entry points — per-request
+* **Reads** go to the set name's owner on a consistent-hash ring (which
+  keeps each worker's frontier cache warm for its own sets) — or, while
+  the owner is dead, respawning or behind a torn pipe, to the next live
+  worker in the ring's preference list.  They are enqueued on that
+  worker's ``multiprocessing`` queue, gathered under the
+  :class:`~repro.service.scheduler.BatchPolicy` and dispatched through
+  the batched engine entry points — per-request
   :class:`~repro.api.SampleSpec` seeds make every result (values *and*
   OpCounters) bit-identical to direct engine calls, whatever the batch
-  composition, worker count or replica that served it.
+  composition, worker count or worker that served it.
 * **Writes** route through the leader (the parent process): the leader
   engine applies the mutation through the normal epoch pipeline, the
   record is appended to *every worker's own WAL* (one log per worker
@@ -33,7 +37,11 @@ The coordination protocol, in full:
   write ack executes against state that includes the write
   (read-your-writes) — and replays its log tail through
   :func:`repro.durability.recovery.replay_records`, i.e. with
-  recovery's exact epoch-alignment verification.
+  recovery's exact epoch-alignment verification.  With
+  ``ack="quorum"`` the ack additionally waits until a majority of the
+  workers report having *applied* the records
+  (:class:`ReplicationLagError`, a 503, when that takes longer than
+  ``_ACK_TIMEOUT_S``).
 * **Epoch promotion** (checkpoint / compact / membership change) writes
   a fresh snapshot pair, hardlinks it under generation names, truncates
   the worker logs and atomically renames a new ``EPOCH`` naming the
@@ -43,8 +51,9 @@ The coordination protocol, in full:
 * **Observability** piggybacks on the result pipe: before posting a
   batch's results, each worker ships a metrics *delta*
   (:func:`repro.obs.metrics.diff_exports` of its registry plus the
-  process-global runtime registry) and the batch's slowest trace under
-  a reserved sentinel id.  The leader folds deltas into cumulative
+  process-global runtime registry), the batch's slowest trace and its
+  status (records applied, epoch, generation) under a reserved
+  sentinel id.  The leader folds deltas into cumulative
   per-shard exports keyed by shard id — so ``GET /metrics`` serves
   fleet-wide totals plus per-worker ``{worker="NN"}`` series whose sums
   match exactly, and the totals survive kill-9/respawn.  Because the
@@ -52,10 +61,16 @@ The coordination protocol, in full:
   performed after a client's future resolves always includes that
   request.
 * **Worker death** is detected by the parent's response pumps; in-flight
-  requests for the dead shard fail with :class:`WorkerDiedError` (a 503
-  at the HTTP layer — never a hang), and the worker is respawned: it
-  reattaches the promoted snapshot and replays its WAL, landing
-  bit-identically on the pre-kill state.
+  requests on the dead worker fail with :class:`WorkerDiedError` (a 503
+  at the HTTP layer — never a hang), new reads route past it, and the
+  worker is respawned: it reattaches the promoted snapshot and replays
+  its WAL, landing bit-identically on the pre-kill state.
+* **Hangs** are death the pumps cannot see.  An idle worker posts a
+  status message every ``heartbeat_s``, a busy one a message per batch,
+  and every message stamps its handle; the
+  :class:`~repro.service.supervisor.Supervisor` kills a worker silent
+  for ``hang_timeout_s`` (SIGSTOP, a wedged syscall) or behind a torn
+  request pipe, which hands it to the death path above.
 * **Durable mode** opens the leader through
   :func:`repro.durability.open_durable`: every write journals to the
   leader's own WAL *before* the fanout, checkpoints bind the truncation
@@ -98,6 +113,7 @@ from repro.api.engine import (
     DurabilityError,
 )
 from repro.core.store import DuplicateSetError
+from repro.obs.logs import get_logger
 from repro.obs.metrics import (
     BATCH_BUCKETS,
     Metrics,
@@ -118,6 +134,9 @@ from repro.service.scheduler import (
     ServiceOverloadedError,
     gather_batch,
 )
+from repro.service.supervisor import Supervisor
+
+_log = get_logger("service.procpool")
 
 #: The version file coordinating workers with the leader.
 EPOCH_FILE = "EPOCH"
@@ -130,6 +149,15 @@ _READY_TIMEOUT_S = 60.0
 
 #: Response-pump poll interval; also bounds death-detection latency.
 _PUMP_POLL_S = 0.05
+
+#: Write acknowledgement policies (see :meth:`ProcessShardPool._await_ack`).
+ACK_POLICIES = ("leader", "quorum")
+
+#: How long a quorum ack may wait before :class:`ReplicationLagError`.
+_ACK_TIMEOUT_S = 10.0
+
+#: Worst shipped-minus-applied record lag ``/readyz`` still calls ready.
+_LAG_THRESHOLD = 1024
 
 #: Read ops a worker process understands (writes stay with the leader).
 _READ_OPS = ("sample", "reconstruct", "contains", "sample_union",
@@ -147,11 +175,21 @@ _WIRE_ERRORS = {
 
 
 class WorkerDiedError(ServiceOverloadedError):
-    """A shard worker process died with this request in flight.
+    """A worker process died with this request in flight.
 
     Subclasses :class:`ServiceOverloadedError` so the HTTP layer maps it
-    to a clean 503 — the shard is temporarily unavailable while the
-    parent respawns the worker; clients retry.
+    to a clean 503 — the parent respawns the worker, and a retry routes
+    to a live one.
+    """
+
+
+class ReplicationLagError(ServiceOverloadedError):
+    """A quorum ack could not form within ``_ACK_TIMEOUT_S``.
+
+    The write is durable in the leader (and its WAL, on durable pools)
+    and in every worker log — it is not lost — but fewer than a majority
+    of the workers confirmed applying it, so under ``ack="quorum"`` it
+    must not be acknowledged.  Maps to a 503 with ``Retry-After``.
     """
 
 
@@ -195,6 +233,20 @@ def worker_wal_path(directory, worker_id: int) -> pathlib.Path:
     return pathlib.Path(directory) / WORKER_WAL_DIR / f"{worker_id:02d}"
 
 
+def _log_tag(gen: int) -> str:
+    """The name on a worker log's checkpoint marker: its generation."""
+    return f"g{int(gen):06d}"
+
+
+def _client_ids(ids) -> np.ndarray:
+    """Client-supplied ids as ``uint64``; ids outside ``[0, 2**64)`` are
+    malformed input (a :class:`ValueError`, 400), not an overflow."""
+    try:
+        return np.asarray(ids, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("ids must be integers in [0, 2**64)") from None
+
+
 # ---------------------------------------------------------------------------
 # Worker process side
 # ---------------------------------------------------------------------------
@@ -207,64 +259,104 @@ class _WorkerAttachment:
     and replays the worker's own WAL through the recovery core;
     ``refresh()`` is the per-batch-boundary check — remap on a
     generation change, replay the new tail on a ``wal_seq`` change,
-    do nothing (one ``EPOCH`` read) otherwise.
+    do nothing (one ``EPOCH`` read) otherwise.  The log is read
+    incrementally, so a refresh costs the records it replays, not the
+    length of the log.
     """
 
-    def __init__(self, directory, worker_id: int,
-                 wal_dir: str | None = None):
+    def __init__(self, directory, worker_id: int):
+        from repro.durability.wal import LogTail
+
         self.directory = pathlib.Path(directory)
         self.worker_id = int(worker_id)
-        self.wal_dir = (pathlib.Path(wal_dir) if wal_dir is not None
-                        else worker_wal_path(directory, worker_id))
+        self.wal_dir = worker_wal_path(directory, worker_id)
         self.db: BloomDB | None = None
         self.state: dict = {}
-        self._cursor = 0
+        self._tail = LogTail(self.wal_dir)
+        self._log_gen: str | None = None  # the log's checkpoint marker
+        self._unapplied: list = []  # read past the marker, not replayed
+        self._read_count = 0  # records read past the marker
 
     def attach(self) -> None:
         """Load the promoted snapshot and replay this worker's log."""
-        state = read_epoch_state(self.directory)
-        self._load(state)
+        self._load(self._read())
+
+    def _read(self) -> dict:
+        """The current ``EPOCH`` state, once the log holds its records.
+
+        ``EPOCH`` and the log are two files.  The leader appends a
+        write's records before it bumps ``wal_seq``, so the log can
+        hold records no ``EPOCH`` published yet: only the first
+        ``wal_seq`` past the checkpoint marker count.  And it resets
+        the logs before it publishes a new generation, so a log read
+        after an ``EPOCH`` read may already belong to the next one: the
+        marker names its generation.  Retry until the two agree.
+        """
+        deadline = time.monotonic() + _READY_TIMEOUT_S
+        while True:
+            state = read_epoch_state(self.directory)
+            for record in self._tail.read():
+                if record.op == "checkpoint":  # the log was reset here
+                    self._log_gen, self._unapplied = record.name, []
+                    self._read_count = 0
+                else:
+                    self._unapplied.append(record)
+                    self._read_count += 1
+            if (self._log_gen == _log_tag(state["gen"])
+                    and self._read_count >= int(state["wal_seq"])):
+                return state
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"worker {self.worker_id}: log {self.wal_dir} never "
+                    f"matched generation {state['gen']}")
+            time.sleep(0.001)
+
+    def _take(self, count: int) -> list:
+        """The next ``count`` records to replay, off the unapplied list."""
+        records = self._unapplied[:count]
+        del self._unapplied[:count]
+        return records
 
     def _load(self, state: dict) -> None:
         from repro.durability.recovery import replay_records
-        from repro.durability.wal import scan_log
 
         db = BloomDB.load(self.directory, plan_file=state["plan"],
                           sets_file=state["sets"])
         snapshot_epoch = int(state["snapshot_epoch"])
         db.restore_epoch(snapshot_epoch)
         db.current_epoch()
-        records = scan_log(self.wal_dir).records if self.wal_dir.is_dir() \
-            else []
-        replay_records(db, records, snapshot_epoch,
-                       origin=f"worker {self.worker_id}")
+        replay_records(db, self._take(int(state["wal_seq"])),
+                       snapshot_epoch, origin=f"worker {self.worker_id}")
         self.db = db
         self.state = state
-        self._cursor = len(records)
 
     def refresh(self) -> None:
         """Catch up with the leader at a batch boundary (cheap when idle)."""
         from repro.durability.recovery import replay_records
-        from repro.durability.wal import scan_log
 
         state = read_epoch_state(self.directory)
+        if (state["gen"], state["wal_seq"]) == (self.state["gen"],
+                                                self.state["wal_seq"]):
+            return
+        state = self._read()
         if state["gen"] != self.state["gen"]:
             # New promoted snapshot: remap.  The old mapping stays valid
             # for any result already being serialised (POSIX keeps the
             # unlinked inode alive), the new one serves the next batch.
             self._load(state)
             return
-        if state["wal_seq"] != self.state["wal_seq"]:
-            records = scan_log(self.wal_dir).records
-            replay_records(self.db, records[self._cursor:],
-                           int(self.state["snapshot_epoch"]),
-                           origin=f"worker {self.worker_id}")
-            self._cursor = len(records)
-            self.state = state
+        replay_records(self.db, self._take(int(state["wal_seq"])
+                                           - int(self.state["wal_seq"])),
+                       int(self.state["snapshot_epoch"]),
+                       origin=f"worker {self.worker_id}")
+        self.state = state
 
-    def applied_seq(self) -> int:
-        """Records of this worker's log applied so far (replication lag)."""
-        return self._cursor
+    def status(self) -> dict:
+        """Published records applied so far (``wal_seq``), and the epoch
+        and generation they brought it to (quorum acks, lag,
+        ``/workers``)."""
+        return {"applied": self.state["wal_seq"],
+                "epoch": self.state["epoch"], "gen": self.state["gen"]}
 
 
 def _encode_error(exc: Exception) -> tuple:
@@ -398,61 +490,47 @@ def _record_batch(metrics: Metrics, batch: list, out: list,
 
 
 def _worker_main(worker_id: int, directory: str, policy_args: tuple,
-                 requests, responses, heartbeat_s: float | None = None,
-                 wal_dir: str | None = None) -> None:
-    """Entry point of one shard worker process.
+                 requests, responses, heartbeat_s: float) -> None:
+    """Entry point of one worker process.
 
-    Loop: block for the first request, gather a batch under the shared
+    Loop: wait for the first request, gather a batch under the shared
     policy, *then* check the ``EPOCH`` file (so a request enqueued after
     a write ack always executes against post-write state), execute, and
     post encoded results.  A ``None`` message is the graceful-shutdown
     sentinel.
 
     Each batch additionally ships a metrics delta (worker registry plus
-    this process's runtime registry) and the batch's slowest trace under
-    the reserved id ``-3`` — enqueued *before* the batch's results, so
-    any scrape taken after a result is visible already counts it.
+    this process's runtime registry), the batch's slowest trace and the
+    worker's status (:meth:`_WorkerAttachment.status`) under the
+    reserved id ``-3`` — enqueued *before* the batch's results, so any
+    scrape taken after a result is visible already counts it.
 
-    With ``heartbeat_s`` set (the replicated tier), the blocking wait is
-    replaced by a timed wait: every interval the worker *refreshes* even
-    while idle — this is what tails newly shipped log records without
-    read traffic — and posts a heartbeat under the reserved id ``-4``
-    carrying its applied record count.  The supervisor uses heartbeat
-    silence (not process death) to detect hung workers, and the ack
-    policies gate writes on the applied counts.
+    When no request arrives for ``heartbeat_s``, the worker tails its
+    log (so idle workers apply writes too) and posts a bare ``-3``
+    status.  An attached worker is therefore never silent for longer
+    than one heartbeat or one batch: the supervisor reads longer silence
+    as a hang, and quorum acks read the applied counts.  The ``-1``
+    ready message carries the status too, so readiness waits for no
+    heartbeat.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     policy = BatchPolicy(*policy_args)
-    att = _WorkerAttachment(directory, worker_id, wal_dir=wal_dir)
+    att = _WorkerAttachment(directory, worker_id)
     att.attach()
     metrics = Metrics()
     shipped = empty_export()
-
-    def _heartbeat() -> None:
-        responses.put((-4, True, {
-            "worker": worker_id,
-            "applied": att.applied_seq(),
-            "epoch": att.db.current_epoch().epoch,
-            "gen": att.state.get("gen"),
-        }))
-
-    responses.put((-1, True, {"ready": worker_id, "pid": os.getpid()}))
-    if heartbeat_s is not None:
-        _heartbeat()
+    responses.put((-1, True, att.status()))
     while True:
-        if heartbeat_s is None:
-            msg = requests.get()
-        else:
+        try:
+            msg = requests.get(timeout=heartbeat_s)
+        except queue.Empty:
             try:
-                msg = requests.get(timeout=heartbeat_s)
-            except queue.Empty:
-                try:
-                    att.refresh()
-                except Exception:  # noqa: BLE001 - stay alive; the lag
-                    # the stale applied count reports is the signal.
-                    metrics.inc("replica_refresh_errors")
-                _heartbeat()
-                continue
+                att.refresh()
+            except Exception:  # noqa: BLE001 - stay alive; the stale
+                # applied count (lag) is the signal.
+                metrics.inc("replica_refresh_errors")
+            responses.put((-3, True, att.status()))
+            continue
         if msg is None:
             break
         gather_started = time.perf_counter()
@@ -483,12 +561,11 @@ def _worker_main(worker_id: int, directory: str, policy_args: tuple,
             responses.put((-3, True, {
                 "metrics": diff_exports(current, shipped),
                 "trace": trace,
+                **att.status(),
             }))
             shipped = current
             for item in out:
                 responses.put(item)
-            if heartbeat_s is not None:
-                _heartbeat()
         if stopping:
             break
     responses.put((-2, True, {"bye": worker_id}))
@@ -502,11 +579,11 @@ def _worker_main(worker_id: int, directory: str, policy_args: tuple,
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process.
 
-    ``last_heartbeat`` / ``applied_seq`` are maintained by the response
-    pump from ``-4`` heartbeat messages (the replicated tier);
-    ``pipe_torn`` is set when a submit finds the request queue torn down
-    — the supervisor kills and respawns such a worker, restoring fresh
-    queues.
+    The response pump stamps ``last_heartbeat`` on every message the
+    worker posts and copies its reported status (``applied_seq``,
+    ``epoch``, ``gen``); ``pipe_torn`` is set when a submit finds the
+    request queue torn down — routing skips such a worker, and the
+    supervisor kills it so the respawn gets fresh queues.
     """
 
     def __init__(self, shard_id: int, ctx, queue_depth: int):
@@ -520,7 +597,14 @@ class _WorkerHandle:
         self.restarts = 0
         self.last_heartbeat = time.monotonic()
         self.applied_seq = 0
+        self.epoch = None
+        self.gen = None
         self.pipe_torn = False
+
+    def routable(self) -> bool:
+        """Attached, pipe intact and alive: can take a read right now."""
+        return (self.ready.is_set() and not self.pipe_torn
+                and self.process is not None and self.process.is_alive())
 
     def discard_queues(self) -> None:
         """Drop the queues of a dead worker without blocking exit."""
@@ -530,29 +614,52 @@ class _WorkerHandle:
 
 
 class ProcessShardPool:
-    """A process-per-shard serving pool over one engine directory.
+    """A supervised pool of worker processes over one engine directory.
 
     The parent (this object) is the write leader and request router;
-    each shard is a worker process attached read-only to the promoted
-    snapshot.  See the module docstring for the full protocol.  Build
-    with :meth:`from_engine` (persist a live engine, then serve it) or
-    directly from an existing directory (``repro serve --db --workers``);
-    pass ``durable=True`` to open-or-recover the directory as a durable
-    engine whose leader journals every write.
+    each worker is a process attached read-only to the promoted
+    snapshot, and a full replica of the leader's state.  See the module
+    docstring for the full protocol.  Build with :meth:`from_engine`
+    (persist a live engine, then serve it) or directly from an existing
+    directory (``repro serve --db --workers``); pass ``durable=True`` to
+    open-or-recover the directory as a durable engine whose leader
+    journals every write.
+
+    ``ack`` is the write acknowledgement policy (:data:`ACK_POLICIES`),
+    ``heartbeat_s`` the idle worker's status interval, and
+    ``hang_timeout_s`` (default ``max(10 * heartbeat_s, 2 s)``) the
+    silence after which the supervisor kills a worker — so no single
+    batch may run longer than that.
     """
 
     def __init__(self, directory, workers: int = 4, *,
-                 policy: BatchPolicy | None = None, replicas: int = 64,
+                 policy: BatchPolicy | None = None,
                  durable: bool = False, config=None,
                  sync: str | None = None, start_method: str = "spawn",
-                 metrics: Metrics | None = None):
+                 metrics: Metrics | None = None, ack: str = "leader",
+                 heartbeat_s: float = 0.25,
+                 hang_timeout_s: float | None = None):
         if workers <= 0:
             raise ValueError("need at least one worker process")
+        if ack not in ACK_POLICIES:
+            raise ValueError(
+                f"unknown ack policy {ack!r} (known: {ACK_POLICIES})")
+        if heartbeat_s <= 0:
+            raise ValueError("heartbeat_s must be positive")
         self.directory = pathlib.Path(directory)
         self.policy = policy if policy is not None else BatchPolicy()
-        self.replicas = int(replicas)
+        self.ack = ack
+        self.heartbeat_s = float(heartbeat_s)
+        self.hang_timeout_s = (float(hang_timeout_s)
+                               if hang_timeout_s is not None
+                               else max(10.0 * self.heartbeat_s, 2.0))
         self.metrics = metrics if metrics is not None else Metrics()
+        for name in ("worker_hangs", "worker_pipe_drops"):
+            self.metrics.inc(name, 0)
         self.traces = TraceBuffer()
+        self.supervisor = Supervisor(
+            self, interval_s=min(self.heartbeat_s, 0.5),
+            hang_timeout_s=self.hang_timeout_s)
         self._metrics_lock = threading.Lock()
         self._worker_exports: dict[int, dict] = {}
         self._ctx = multiprocessing.get_context(start_method)
@@ -560,8 +667,11 @@ class ProcessShardPool:
         self._inflight_lock = threading.Lock()
         self._inflight: dict[int, tuple[Future, int, float]] = {}
         self._request_ids = itertools.count()
+        self._respawn_lock = threading.Lock()
+        self._applied_cond = threading.Condition()
         self._started = False
         self._stopping = False
+        self._closed = False
 
         if durable:
             from repro.durability.recovery import open_durable
@@ -583,7 +693,7 @@ class ProcessShardPool:
             for i in range(int(workers))
         ]
         self._wals: list = []
-        self.ring = ConsistentHashRing(len(self._workers), self.replicas)
+        self.ring = ConsistentHashRing(len(self._workers))
         for stale in itertools.chain(self.directory.glob("plan.g*.bst"),
                                      self.directory.glob("sets.g*.bst")):
             stale.unlink()
@@ -646,7 +756,7 @@ class ProcessShardPool:
                 if target.exists():
                     target.unlink()
                 os.link(self.directory / canonical, target)
-            self._reset_worker_wals(epoch, initial=initial)
+            self._reset_worker_wals(epoch, gen, initial=initial)
             self._state = {"gen": gen, "epoch": epoch, "wal_seq": 0,
                            "snapshot_epoch": epoch, "plan": plan_name,
                            "sets": sets_name, "workers": len(self._workers)}
@@ -664,8 +774,10 @@ class ProcessShardPool:
             except FileNotFoundError:
                 pass
 
-    def _reset_worker_wals(self, epoch: int, initial: bool) -> None:
-        """Rotate every worker log down to a bare checkpoint marker."""
+    def _reset_worker_wals(self, epoch: int, gen: int,
+                           initial: bool) -> None:
+        """Rotate every worker log down to a bare checkpoint marker
+        naming generation ``gen`` (see :meth:`_WorkerAttachment._read`)."""
         from repro.durability.wal import WriteAheadLog
 
         if initial:
@@ -678,14 +790,16 @@ class ProcessShardPool:
                 for h in self._workers
             ]
         for wal in self._wals:
-            wal.truncate(epoch)
+            wal.truncate(epoch, name=_log_tag(gen))
 
     def _fanout(self, records: list[tuple]) -> None:
         """Append records to every worker log, then publish the ack point.
 
         Order matters: the records must be readable (flushed) before the
         ``EPOCH`` bump that makes workers look for them, and the bump
-        must land before the caller's write is acknowledged.
+        must land before the caller's write is acknowledged.  ``wal_seq``
+        counts the records published since the checkpoint marker, which
+        is where a worker's replay stops.
         """
         if not records:
             return
@@ -693,14 +807,14 @@ class ProcessShardPool:
             for op, ids, epoch, name in records:
                 wal.append(op, ids, epoch=epoch, name=name)
         self._state = dict(self._state,
-                           wal_seq=int(self._state["wal_seq"]) + 1,
+                           wal_seq=int(self._state["wal_seq"]) + len(records),
                            epoch=self.leader.current_epoch().epoch)
         write_epoch_state(self.directory, self._state)
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ProcessShardPool":
-        """Spawn every worker process and wait until all attached."""
+        """Spawn every worker, wait until all attached, then supervise."""
         if self._started:
             return self
         self._stopping = False
@@ -708,27 +822,25 @@ class ProcessShardPool:
             self._spawn(handle)
         self._await_ready(self._workers)
         self._started = True
+        self.supervisor.start()
         return self
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.ready.clear()
         handle.stop_requested = False
         handle.last_heartbeat = time.monotonic()
+        policy_args = (self.policy.max_batch, self.policy.max_delay_ms,
+                       self.policy.queue_depth)
         handle.process = self._ctx.Process(
-            target=_worker_main, args=self._worker_args(handle),
+            target=_worker_main,
+            args=(handle.shard_id, str(self.directory), policy_args,
+                  handle.requests, handle.responses, self.heartbeat_s),
             name=f"repro-worker-{handle.shard_id}", daemon=True)
         handle.process.start()
         handle.pump = threading.Thread(
             target=self._pump, args=(handle,),
             name=f"repro-pump-{handle.shard_id}", daemon=True)
         handle.pump.start()
-
-    def _worker_args(self, handle: _WorkerHandle) -> tuple:
-        """The ``_worker_main`` arguments for one handle (override hook)."""
-        policy_args = (self.policy.max_batch, self.policy.max_delay_ms,
-                       self.policy.queue_depth)
-        return (handle.shard_id, str(self.directory), policy_args,
-                handle.requests, handle.responses)
 
     def _await_ready(self, handles) -> None:
         deadline = time.monotonic() + _READY_TIMEOUT_S
@@ -740,10 +852,12 @@ class ProcessShardPool:
                     f"{_READY_TIMEOUT_S:.0f}s")
 
     def stop(self) -> None:
-        """Drain and stop every worker process (idempotent)."""
+        """Stop supervision, then drain every worker process (idempotent)."""
         if not self._started:
             return
-        self._stopping = True
+        with self._respawn_lock:  # no respawn starts after this
+            self._stopping = True
+        self.supervisor.stop()
         for handle in self._workers:
             handle.stop_requested = True
             try:
@@ -768,16 +882,22 @@ class ProcessShardPool:
         Every per-worker log gets a clean-shutdown marker, not just the
         leader's WAL — a graceful ``SIGTERM`` of the whole process tree
         must leave *all* logs marked, so the next attach (and any
-        offline inspection) can prove no worker state was lost.
+        offline inspection) can prove no worker state was lost.  A
+        durable leader's WAL is closed too: the pool takes no writes
+        after ``close()`` (idempotent).
         """
+        if self._closed:
+            return
         self.stop()
         if self.leader.wal is not None:
             self._promote()
             self.leader.wal.mark_clean()
+            self.leader.wal.close()
         for wal in self._wals:
             wal.mark_clean()
             wal.close()
         self._wals = []
+        self._closed = True
 
     # -- death handling -------------------------------------------------------
 
@@ -795,40 +915,39 @@ class ProcessShardPool:
                 continue
             except (EOFError, OSError):  # pragma: no cover - queue torn down
                 return
-            if rid == -1:
-                handle.last_heartbeat = time.monotonic()
+            handle.last_heartbeat = time.monotonic()
+            if rid >= 0:
+                self._resolve(rid, ok, payload)
+            elif rid == -3:
+                self._absorb(handle, payload)
+            elif rid == -1:
+                self._note_status(handle, payload)
                 handle.ready.set()
-                continue
-            if rid == -2:
-                if handle.stop_requested or self._stopping:
-                    return
-                continue
-            if rid == -3:
-                self._absorb(handle.shard_id, payload)
-                continue
-            if rid == -4:
-                self._on_heartbeat(handle, payload)
-                continue
-            self._resolve(rid, ok, payload)
+            elif handle.stop_requested or self._stopping:  # -2: drained
+                return
 
-    def _on_heartbeat(self, handle: _WorkerHandle, payload: dict) -> None:
-        """Record one worker heartbeat (hang detection + applied seq)."""
-        handle.last_heartbeat = time.monotonic()
-        handle.applied_seq = int(payload.get("applied", 0))
+    def _note_status(self, handle: _WorkerHandle, payload: dict) -> None:
+        """Copy a worker's reported status; wake quorum waiters on progress."""
+        handle.epoch = payload["epoch"]
+        progress = (payload["gen"], int(payload["applied"]))
+        if progress != (handle.gen, handle.applied_seq):
+            handle.gen, handle.applied_seq = progress
+            with self._applied_cond:
+                self._applied_cond.notify_all()
 
-    def _absorb(self, shard: int, payload: dict) -> None:
-        """Fold one worker's shipped metrics delta / trace into the leader.
+    def _absorb(self, handle: _WorkerHandle, payload: dict) -> None:
+        """Fold one worker's status, metrics delta and trace into the leader.
 
-        Per-shard exports are *cumulative* (deltas merge in), keyed by
+        Per-worker exports are *cumulative* (deltas merge in), keyed by
         shard id rather than process identity — which is what keeps the
         fleet totals monotone across kill-9 and respawn.
         """
+        self._note_status(handle, payload)
         delta = payload.get("metrics")
         if delta:
             with self._metrics_lock:
-                merge_exports(
-                    self._worker_exports.setdefault(shard, empty_export()),
-                    delta)
+                merge_exports(self._worker_exports.setdefault(
+                    handle.shard_id, empty_export()), delta)
         trace = payload.get("trace")
         if trace:
             self.traces.offer(trace)
@@ -853,13 +972,14 @@ class ProcessShardPool:
             future.set_exception(_WIRE_ERRORS.get(name, RuntimeError)(message))
 
     def _on_worker_death(self, handle: _WorkerHandle) -> None:
-        """Fail the dead shard's in-flight requests, then respawn it.
+        """Fail the dead worker's in-flight requests, then respawn it.
 
         The respawned process reattaches the promoted snapshot and
         replays its own WAL (see :class:`_WorkerAttachment`), landing on
         exactly the state the dead worker served.  Requests already
         routed to the dead worker resolve to :class:`WorkerDiedError`
-        (503) rather than hanging; other shards are untouched.
+        (503) rather than hanging; until the replacement is attached,
+        new reads route to the other workers.
         """
         shard = handle.shard_id
         with self._inflight_lock:
@@ -873,36 +993,59 @@ class ProcessShardPool:
                     f"the pool is respawning it — retry"))
         self.metrics.inc("worker_deaths")
         handle.discard_queues()
-        if self._stopping:
-            return
-        replacement = _WorkerHandle(shard, self._ctx,
-                                    self.policy.queue_depth)
-        replacement.restarts = handle.restarts + 1
-        self._workers[shard] = replacement
-        self._spawn(replacement)
+        with self._respawn_lock:
+            if self._stopping:
+                return
+            replacement = _WorkerHandle(shard, self._ctx,
+                                        self.policy.queue_depth)
+            replacement.restarts = handle.restarts + 1
+            self._workers[shard] = replacement
+            self._spawn(replacement)
         self.metrics.inc("worker_restarts")
+        _log.warning("worker_respawned", worker=shard,
+                     failed_inflight=len(entries),
+                     restarts=replacement.restarts)
 
     def kill_worker(self, shard: int) -> int:
-        """SIGKILL one worker process (fault-injection hook); returns pid."""
+        """SIGKILL one worker process and wait for it to exit
+        (fault-injection hook); returns the pid.
+
+        Once this returns, reads route past the dead worker.
+        """
         handle = self._workers[shard]
         pid = handle.process.pid
         os.kill(pid, signal.SIGKILL)
+        handle.process.join(timeout=10.0)
         return pid
 
     # -- routing --------------------------------------------------------------
 
     @property
     def num_workers(self) -> int:
-        """Number of shard worker processes."""
+        """Number of worker processes."""
         return len(self._workers)
 
     def shard_of(self, name: str) -> int:
-        """The worker shard owning a routing key (consistent hash)."""
+        """The worker owning a routing key on the ring (consistent hash)."""
         return self.ring.shard_for(name)
 
     def _route(self, key: str) -> int:
-        """Worker index to serve one read (override hook for fan-out)."""
-        return self.ring.shard_for(key)
+        """The worker to serve one read.
+
+        The ring owner while it can take reads (attached, pipe intact,
+        alive), else the next such worker in the ring's preference list
+        — every worker holds every set.  Routing never reads heartbeat
+        age: staleness is the supervisor's to act on.  With no routable
+        worker at all the owner is returned, so the read waits for its
+        respawn or fails with the clean 503.
+        """
+        owner = self.ring.shard_for(key)
+        if self._workers[owner].routable():
+            return owner
+        for shard in self.ring.preference(key)[1:]:
+            if self._workers[shard].routable():
+                return shard
+        return owner
 
     def submit(self, op: str, names, *, rounds: int = 1,
                replacement: bool = True, seed: int = 0, x: int = 0,
@@ -928,6 +1071,8 @@ class ProcessShardPool:
             raise ValueError("rounds must be positive")
         if int(seed) < 0:
             raise ValueError("seed must be non-negative")
+        if not 0 <= int(x) < 1 << 64:
+            raise ValueError("x must be an id in [0, 2**64)")
         shard = self._route(names[0])
         handle = self._workers[shard]
         rid = next(self._request_ids)
@@ -954,9 +1099,9 @@ class ProcessShardPool:
         except (OSError, ValueError):
             # The queue was torn down under us: the worker died and its
             # handle is being replaced — or the pipe itself was dropped
-            # while the process lives, which the supervisor (replicated
-            # tier) recovers by killing and respawning the worker.  Same
-            # contract either way: a clean 503, retry after respawn.
+            # while the process lives, which the supervisor recovers by
+            # killing and respawning the worker.  Same contract either
+            # way: a clean 503, and the retry routes past this worker.
             handle.pipe_torn = True
             with self._inflight_lock:
                 self._inflight.pop(rid, None)
@@ -986,7 +1131,7 @@ class ProcessShardPool:
         return self._occupancy("retire", ids)
 
     def _occupancy(self, kind: str, ids) -> int:
-        ids = np.asarray(ids, dtype=np.uint64)
+        ids = _client_ids(ids)
         if not self.leader.spec.requires_occupied or not ids.size:
             return 0
         with self._mutation_lock:
@@ -1010,7 +1155,7 @@ class ProcessShardPool:
         self._set_mutation("extend_set", name, ids)
 
     def _set_mutation(self, op: str, name: str, ids) -> None:
-        ids = np.asarray(ids, dtype=np.uint64)
+        ids = _client_ids(ids)
         with self._mutation_lock:
             before = self.leader.current_epoch().epoch
             if op == "add_set":
@@ -1030,12 +1175,38 @@ class ProcessShardPool:
     def _await_ack(self) -> None:
         """Gate a write acknowledgement on the configured ack policy.
 
-        The base tier acks once the fanout is durable (records flushed,
-        ``EPOCH`` bumped) — a no-op here.  The replicated tier overrides
-        this to additionally wait for follower confirmations under
-        ``ack="quorum"``; it runs *outside* the mutation lock so death
-        handling and promotion can proceed while a writer waits.
+        ``ack="leader"`` is satisfied by the fanout itself (records
+        flushed into every worker log, ``EPOCH`` bumped).  Under
+        ``ack="quorum"`` this waits — *outside* the mutation lock, so
+        other writes and death handling proceed meanwhile — until a
+        majority of the workers, routable and reporting, have applied
+        everything shipped so far, or raises :class:`ReplicationLagError`
+        after ``_ACK_TIMEOUT_S``.  A promotion (which folds everything
+        shipped into the snapshot every worker remaps to) also
+        satisfies the wait.
         """
+        if self.ack != "quorum" or not self._started:
+            return
+        target = self._state["wal_seq"]
+        generation = self._state["gen"]
+        quorum = len(self._workers) // 2 + 1
+        deadline = time.monotonic() + _ACK_TIMEOUT_S
+        with self._applied_cond:
+            while self._state["gen"] == generation:
+                confirmed = sum(1 for h in self._workers
+                                if h.routable() and h.gen == generation
+                                and h.applied_seq >= target)
+                if confirmed >= quorum:
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ReplicationLagError(
+                        f"quorum ack did not form within "
+                        f"{_ACK_TIMEOUT_S:.1f}s ({confirmed} of the "
+                        f"{quorum} workers needed applied record "
+                        f"{target}); the write is durable at the leader "
+                        f"but unacknowledged — retry")
+                self._applied_cond.wait(min(remaining, self.heartbeat_s))
 
     def drop_set(self, name: str) -> None:
         """Forget a named set (promotes: drops have no log opcode)."""
@@ -1079,7 +1250,7 @@ class ProcessShardPool:
             self._wals.append(WriteAheadLog(
                 worker_wal_path(self.directory, shard), sync="batch"))
             self._promote()
-            self.ring = ConsistentHashRing(len(self._workers), self.replicas)
+            self.ring = ConsistentHashRing(len(self._workers))
             if self._started:
                 self._spawn(handle)
                 self._await_ready([handle])
@@ -1097,8 +1268,7 @@ class ProcessShardPool:
             if len(self._workers) <= 1:
                 raise ValueError("cannot remove the last worker")
             handle = self._workers[-1]
-            self.ring = ConsistentHashRing(len(self._workers) - 1,
-                                           self.replicas)
+            self.ring = ConsistentHashRing(len(self._workers) - 1)
             handle.stop_requested = True
             if self._started and handle.process is not None:
                 handle.requests.put(None)
@@ -1153,6 +1323,7 @@ class ProcessShardPool:
         """The ``/metrics`` payload: fleet-wide Prometheus exposition."""
         self.metrics.set_gauge("queue_depth", self.queued())
         self.metrics.set_gauge("workers", self.num_workers)
+        self.metrics.set_gauge("replication_lag_max", self.lag_max())
         self.metrics.set_gauge("uptime_seconds",
                                time.time() - self.metrics.started_at)
         return render_prometheus(self.fleet_export())
@@ -1166,21 +1337,31 @@ class ProcessShardPool:
         """The current ``EPOCH`` version-file contents (leader's view)."""
         return dict(self._state)
 
+    def _lag(self, handle: _WorkerHandle) -> int:
+        """Published records one worker has yet to apply."""
+        if handle.gen != self._state["gen"]:
+            return int(self._state["wal_seq"])
+        return max(0, int(self._state["wal_seq"]) - handle.applied_seq)
+
+    def lag_max(self) -> int:
+        """Worst published-minus-applied record count over the workers."""
+        return max(self._lag(handle) for handle in self._workers)
+
     def readyz(self) -> dict:
         """The ``/readyz`` payload: is the pool fully attached and serving?
 
         Distinct from liveness (``/healthz``): ready means every worker
-        process is spawned, attached to the promoted snapshot, and
-        alive.  The replicated tier extends this with per-shard leader
-        liveness and a replication-lag threshold.
+        process is spawned, attached to the promoted snapshot, alive
+        with its pipe intact, and at most ``_LAG_THRESHOLD`` records
+        behind the leader.
         """
-        alive = sum(
-            1 for handle in self._workers
-            if handle.process is not None and handle.process.is_alive()
-            and handle.ready.is_set())
-        ready = self._started and alive == len(self._workers)
+        alive = sum(1 for handle in self._workers if handle.routable())
+        lag = self.lag_max()
+        ready = (self._started and alive == len(self._workers)
+                 and lag <= _LAG_THRESHOLD)
         return {"ready": bool(ready), "mode": "process",
-                "workers": len(self._workers), "alive": alive}
+                "workers": len(self._workers), "alive": alive,
+                "lag_max": lag}
 
     def describe(self) -> dict:
         """Pool summary: engine config + process-tier state."""
@@ -1197,19 +1378,24 @@ class ProcessShardPool:
         return info
 
     def workers_info(self) -> list[dict]:
-        """Liveness, pid and restart count of every worker process."""
+        """Liveness, pid, restarts and replay progress of every worker."""
         return [
             {"shard": handle.shard_id,
              "pid": None if handle.process is None else handle.process.pid,
              "alive": (handle.process is not None
                        and handle.process.is_alive()),
-             "restarts": handle.restarts}
+             "restarts": handle.restarts,
+             "applied_seq": handle.applied_seq,
+             "lag": self._lag(handle),
+             "epoch": handle.epoch,
+             "generation": handle.gen}
             for handle in self._workers
         ]
 
     def __repr__(self) -> str:
         return (f"ProcessShardPool(workers={self.num_workers}, "
-                f"dir={str(self.directory)!r}, durable={self.durable})")
+                f"ack={self.ack!r}, dir={str(self.directory)!r}, "
+                f"durable={self.durable})")
 
 
 class ProcessService:

@@ -4,15 +4,15 @@ The process pool's response pumps already notice *death* (the queue
 goes quiet and ``Process.is_alive()`` flips).  What they cannot see is
 a worker that is alive but not making progress — stopped by ``SIGSTOP``,
 wedged in a syscall, or spinning — because a stuck process still counts
-as alive.  The :class:`Supervisor` closes that gap with the replicated
-tier's heartbeats: every replica posts a ``-4`` heartbeat message at
-least every ``heartbeat_s`` (idle or busy), the pump stamps
-``handle.last_heartbeat``, and a handle whose stamp goes stale past
-``hang_timeout_s`` while its process is still alive is declared hung
-and killed with ``SIGKILL`` — which funnels it into the exact death
-path the pool already survives: in-flight requests fail with a clean
-503, the worker respawns and replays its log, and a hung *leader* gets
-a follower promoted over it first.
+as alive.  The :class:`Supervisor` closes that gap: every attached
+worker posts a message at least every ``heartbeat_s`` (a status on an
+idle tick, a metrics message per batch), the pump stamps
+``handle.last_heartbeat`` on each one, and a handle whose stamp goes
+stale past ``hang_timeout_s`` while its process is still alive is
+declared hung and killed with ``SIGKILL`` — which funnels it into the
+exact death path the pool already survives: in-flight requests fail
+with a clean 503, new reads route to the next live worker, and the
+worker respawns and replays its log.
 
 The supervisor also recovers dropped pipes: a submit that finds a
 worker's request queue torn down marks the handle ``pipe_torn``, and
@@ -28,7 +28,7 @@ import time
 
 from repro.obs.logs import get_logger
 
-_log = get_logger("replication.supervisor")
+_log = get_logger("service.supervisor")
 
 
 class Supervisor:
@@ -99,7 +99,7 @@ class Supervisor:
                 self.pool.metrics.inc("worker_pipe_drops")
                 _log.warning("pipe_torn_worker_killed",
                              worker=handle.shard_id, pid=process.pid)
-                self._kill(process.pid)
+                self._kill(handle)
                 killed.append(handle.shard_id)
                 continue
             if not handle.ready.is_set():
@@ -114,18 +114,16 @@ class Supervisor:
                              pid=process.pid,
                              silent_s=round(silent_s, 3),
                              hang_timeout_s=self.hang_timeout_s)
-                self._kill(process.pid)
+                self._kill(handle)
                 killed.append(handle.shard_id)
         return killed
 
     @staticmethod
-    def _kill(pid: int) -> None:
+    def _kill(handle) -> None:
+        """SIGKILL a sick worker; unready first, so reads route past it
+        at once rather than from when its death is reaped."""
+        handle.ready.clear()
         try:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(handle.process.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):  # pragma: no cover
             pass
-
-    def __repr__(self) -> str:
-        return (f"Supervisor(interval_s={self.interval_s}, "
-                f"hang_timeout_s={self.hang_timeout_s}, "
-                f"running={self.running})")

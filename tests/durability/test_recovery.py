@@ -23,6 +23,7 @@ from repro.durability import (
     recover_engine,
 )
 from repro.durability.recovery import WAL_DIR
+from repro.durability.wal import scan_log
 from repro.service import ProcessService, ProcessShardPool
 from repro.service.procpool import WORKER_WAL_DIR
 
@@ -64,6 +65,27 @@ def _apply(db: BloomDB, batches) -> None:
 
 
 # -- single-engine recovery -----------------------------------------------------
+
+
+@pytest.mark.parametrize("tree", ["pruned", "dynamic"])
+def test_rejected_set_write_changes_nothing(tmp_path, tree):
+    """An id outside the namespace is rejected before the set is stored:
+    names, occupancy and the WAL are exactly as before, and the name is
+    still free."""
+    db, _ = open_durable(tmp_path / "e", _config(tree=tree))
+    db.add_set("a", SET_IDS)
+    names, occupied = db.names(), db.occupied.copy()
+    records = len(scan_log(tmp_path / "e" / WAL_DIR).records)
+    with pytest.raises(ValueError, match="outside namespace"):
+        db.add_set("b", [5, 10**6])
+    with pytest.raises(ValueError, match="outside namespace"):
+        db.extend_set("a", [5, NAMESPACE])
+    assert db.names() == names
+    assert np.array_equal(db.occupied, occupied)
+    assert len(scan_log(tmp_path / "e" / WAL_DIR).records) == records
+    db.add_set("b", [5])
+    assert db.names() == ["a", "b"]
+    db.wal.close()
 
 
 def test_open_durable_creates_then_recovers(tmp_path):
@@ -314,6 +336,11 @@ def test_pool_checkpoint_and_graceful_close(tmp_path):
     assert (directory / WAL_DIR / "CLEAN").exists()
     for log in (directory / WORKER_WAL_DIR).iterdir():
         assert (log / "CLEAN").exists()
+    # close() released the leader WAL's append handle too, and a
+    # second close() is a no-op.
+    with pytest.raises(ValueError, match="WAL is closed"):
+        pool.leader.wal.append("insert", [1], epoch=1)
+    pool.close()
 
     reopened = ProcessShardPool(directory, 1, durable=True)
     assert reopened.recovery_report.clean_shutdown
@@ -353,7 +380,6 @@ def test_pool_crash_replays_the_leader_wal_on_reopen(tmp_path):
     with ProcessService(reopened) as service:
         assert service.sample("late", r=12, seed=5) == acked
     reopened.close()
-    reopened.leader.wal.close()
 
 
 def test_reopen_rebuilds_lagging_worker_logs_from_the_leader(tmp_path):
@@ -369,4 +395,3 @@ def test_reopen_rebuilds_lagging_worker_logs_from_the_leader(tmp_path):
     with ProcessService(reopened) as service:
         assert service.sample("late", r=12, seed=5) == acked
     reopened.close()
-    reopened.leader.wal.close()

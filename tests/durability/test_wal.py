@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from repro.durability.wal import (
+    _PAYLOAD_PREFIX,
+    _RECORD_HEADER,
     CLEAN_MARKER,
+    OP_CODES,
     CorruptWalError,
+    LogTail,
+    WalRecord,
     WriteAheadLog,
+    checksum,
     decode_payload,
     encode_record,
     scan_log,
@@ -166,4 +172,79 @@ def test_tail_bytes_counts_all_segments(tmp_path):
     wal.flush()
     assert wal.tail_bytes() == sum(
         s.stat().st_size for s in wal.segments())
+    wal.close()
+
+
+def _framed(payload: bytes) -> bytes:
+    """``payload`` behind a valid length + CRC header (a whole record)."""
+    return _RECORD_HEADER.pack(len(payload), checksum(payload)) + payload
+
+
+def test_non_utf8_name_is_a_corrupt_record(tmp_path):
+    """A checksum-valid record whose name is not UTF-8 is corruption:
+    a torn tail in the last segment, fatal in an earlier one."""
+    bad = (_PAYLOAD_PREFIX.pack(OP_CODES["add_set"], 1, 2) + b"\xff\xfe"
+           + IDS.tobytes())
+    with pytest.raises(CorruptWalError, match="UTF-8"):
+        decode_payload(bad)
+
+    wal = WriteAheadLog(tmp_path / "tail", sync="off")
+    wal.append("insert", IDS, epoch=2)
+    wal.close()
+    (segment,) = (tmp_path / "tail").glob("wal-*.log")
+    with open(segment, "ab") as fh:
+        fh.write(_framed(bad))
+    scan = scan_log(tmp_path / "tail")
+    assert scan.torn_tail and len(scan.records) == 1
+
+    wal = WriteAheadLog(tmp_path / "early", sync="off", segment_bytes=64)
+    for epoch in range(2, 6):
+        wal.append("insert", IDS, epoch=epoch)
+    wal.close()
+    first = min((tmp_path / "early").glob("wal-*.log"))
+    first.write_bytes(_framed(bad))
+    with pytest.raises(CorruptWalError, match="non-final"):
+        scan_log(tmp_path / "early")
+
+
+def test_decoder_fuzz_yields_records_or_corrupt_wal_errors():
+    """Seeded fuzz: any payload behind a valid length and CRC decodes to
+    a :class:`WalRecord` or raises :class:`CorruptWalError` — never
+    anything else."""
+    rng = np.random.default_rng(20261019)
+    outcomes = {"record": 0, "corrupt": 0}
+    for _ in range(3_000):
+        if rng.random() < 0.5:
+            payload = rng.bytes(int(rng.integers(0, 64)))
+        else:  # a plausible prefix over a random body
+            payload = (_PAYLOAD_PREFIX.pack(
+                int(rng.integers(0, 8)), int(rng.integers(0, 2**63)),
+                int(rng.integers(0, 12)))
+                + rng.bytes(int(rng.integers(0, 40))))
+        try:
+            record = decode_payload(payload)
+        except CorruptWalError:
+            outcomes["corrupt"] += 1
+        else:
+            assert isinstance(record, WalRecord)
+            outcomes["record"] += 1
+    assert outcomes["record"] and outcomes["corrupt"], outcomes
+
+
+def test_log_tail_reads_each_record_once_across_rotation_and_truncate(
+        tmp_path):
+    wal = WriteAheadLog(tmp_path, sync="batch", segment_bytes=64)
+    tail = LogTail(tmp_path)
+    assert tail.read() == []
+    for epoch in range(2, 6):
+        wal.append("insert", IDS, epoch=epoch)
+    assert len(wal.segments()) > 1
+    assert [r.epoch for r in tail.read()] == [2, 3, 4, 5]
+    assert tail.read() == []
+    wal.append("retire", IDS[:3], epoch=6)
+    assert [(r.op, r.epoch) for r in tail.read()] == [("retire", 6)]
+    wal.truncate(6, name="g000001")
+    wal.append("insert", IDS, epoch=7)
+    assert [(r.op, r.name) for r in tail.read()] == [
+        ("checkpoint", "g000001"), ("insert", "")]
     wal.close()

@@ -1,8 +1,8 @@
-"""The chaos property: a faulted ring answers like a never-crashed one.
+"""The chaos property: a faulted pool answers like a never-crashed one.
 
-A seeded :class:`~repro.faultinject.FaultSchedule` drives leader kills,
-follower kills, hangs and pipe drops against a durable replicated ring
-while writes and seeded reads flow.  The property, checked continuously
+A seeded :class:`~repro.faultinject.FaultSchedule` drives kills, hangs
+and pipe drops, each aimed at one worker, against a durable pool while
+writes and seeded reads flow.  The property, checked continuously
 and again after healing:
 
 * every acknowledged write is durable — visible after any fault, after
@@ -21,10 +21,9 @@ import numpy as np
 from repro.api import BloomDB, SampleSpec
 from repro.durability.wal import WriteAheadLog
 from repro.faultinject import FaultInjector, FaultSchedule, tear_wal_tail
-from repro.replication import ReplicatedShardPool
-from repro.service import ServiceOverloadedError
+from repro.service import ProcessShardPool, ServiceOverloadedError
 from repro.service.client import encode_result
-from tests.replication.conftest import wait_until
+from tests.service.conftest import probe_via, wait_until
 
 CHAOS_SEED = 20260808
 STEPS = 20
@@ -35,11 +34,14 @@ def ref_answer(db: BloomDB, name: str, seed: int) -> dict:
     return encode_result(db.sample_many([spec]).ordered()[0])
 
 
-def probe_with_retry(pool, name: str, seed: int, deadline_s: float = 60.0):
+def probe_with_retry(pool, name: str, seed: int, deadline_s: float = 60.0,
+                     worker: int | None = None):
     """A seeded read that outlives faults: 503s retry, nothing hangs."""
     deadline = time.monotonic() + deadline_s
     while True:
         try:
+            if worker is not None:
+                return probe_via(pool, worker, name, seed=seed)
             return pool.submit("sample", (name,), rounds=3,
                                replacement=False, seed=seed).result(60)
         except ServiceOverloadedError:
@@ -54,15 +56,17 @@ def chaos_ids(step: int) -> np.ndarray:
 
 
 def test_chaos_schedule_preserves_acked_writes_and_bit_identity(
-        repl_config, tmp_path):
-    schedule = FaultSchedule.generate(CHAOS_SEED, steps=STEPS, shards=2,
-                                      replication=2, rate=0.35)
-    assert schedule.events, "a chaos run without faults proves nothing"
+        fault_config, tmp_path):
+    schedule = FaultSchedule.generate(CHAOS_SEED, steps=STEPS, workers=3,
+                                      rate=0.35)
+    assert {e.kind for e in schedule.events} == {"kill9", "hang",
+                                                 "pipe_drop"}, \
+        "the schedule must exercise every fault kind"
 
-    reference = BloomDB.from_config(repl_config)
-    pool = ReplicatedShardPool(
-        tmp_path / "ring", workers=2, replication=2, durable=True,
-        config=repl_config, heartbeat_s=0.05, hang_timeout_s=1.0)
+    reference = BloomDB.from_config(fault_config)
+    pool = ProcessShardPool(
+        tmp_path / "ring", 3, durable=True, config=fault_config,
+        heartbeat_s=0.05, hang_timeout_s=1.0)
     pool.start()
     injector = FaultInjector(pool)
 
@@ -72,7 +76,7 @@ def test_chaos_schedule_preserves_acked_writes_and_bit_identity(
                 try:
                     injector.apply(event)
                 except (ValueError, ProcessLookupError):
-                    pass  # the member is mid-respawn; the fault misses
+                    pass  # the worker is mid-respawn; the fault misses
 
             # Writes go through the parent-side write leader, so they
             # are acknowledged even mid-fault — and mirrored into the
@@ -90,15 +94,16 @@ def test_chaos_schedule_preserves_acked_writes_and_bit_identity(
 
         injector.clear()
         wait_until(lambda: pool.readyz()["ready"], deadline_s=60.0,
-                   message="ring never healed after the chaos schedule")
+                   message="pool never healed after the chaos schedule")
 
-        # Healed sweep: every acked write, probed enough times to hit
-        # every replica of its group, matches the reference exactly.
+        # Healed sweep: every acked write, read through every worker,
+        # matches the reference exactly.
         for step in range(STEPS):
             name = f"chaos{step}"
             want = ref_answer(reference, name, seed=900 + step)
-            for _ in range(2 * pool.replication):
-                assert probe_with_retry(pool, name, seed=900 + step) == want
+            for worker in range(pool.num_workers):
+                assert probe_with_retry(pool, name, seed=900 + step,
+                                        worker=worker) == want
     finally:
         injector.clear()
         pool.close()
@@ -112,13 +117,13 @@ def test_chaos_schedule_preserves_acked_writes_and_bit_identity(
     wal.close()
     tear_wal_tail(tmp_path / "ring" / "wal")
 
-    revived = ReplicatedShardPool(
-        tmp_path / "ring", workers=2, replication=2, durable=True,
-        config=repl_config, heartbeat_s=0.05, hang_timeout_s=1.0)
+    revived = ProcessShardPool(
+        tmp_path / "ring", 3, durable=True, config=fault_config,
+        heartbeat_s=0.05, hang_timeout_s=1.0)
     revived.start()
     try:
         wait_until(lambda: revived.readyz()["ready"], deadline_s=60.0,
-                   message="ring never became ready after recovery")
+                   message="pool never became ready after recovery")
         # The torn, unacknowledged record is gone; every acked write
         # survived, still bit-identical to the never-crashed reference.
         assert "never-acked" not in revived.leader.names()

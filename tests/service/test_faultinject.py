@@ -22,44 +22,42 @@ from repro.faultinject import (
 
 class TestFaultSchedule:
     def test_same_seed_same_schedule(self):
-        a = FaultSchedule.generate(7, steps=60, shards=2, replication=2)
-        b = FaultSchedule.generate(7, steps=60, shards=2, replication=2)
+        a = FaultSchedule.generate(7, steps=60, workers=4)
+        b = FaultSchedule.generate(7, steps=60, workers=4)
         assert a == b
         assert a.describe() == b.describe()
 
     def test_different_seeds_differ(self):
-        a = FaultSchedule.generate(7, steps=60, shards=2, replication=2)
-        b = FaultSchedule.generate(8, steps=60, shards=2, replication=2)
+        a = FaultSchedule.generate(7, steps=60, workers=4)
+        b = FaultSchedule.generate(8, steps=60, workers=4)
         assert a.events != b.events
 
     def test_events_stay_in_bounds(self):
         schedule = FaultSchedule.generate(
-            11, steps=200, shards=3, replication=2, kinds=FAULT_KINDS,
-            rate=0.5)
+            11, steps=200, workers=6, kinds=FAULT_KINDS, rate=0.5)
         assert schedule.events, "rate=0.5 over 200 steps produced nothing"
+        assert {e.worker for e in schedule.events} == set(range(6))
         for event in schedule.events:
             assert 0 <= event.step < 200
             assert event.kind in FAULT_KINDS
-            assert 0 <= event.shard < 3
-            assert 0 <= event.slot < 2
+            assert 0 <= event.worker < 6
             if event.kind == "slow_fsync":
                 assert 0.005 <= event.seconds <= 0.05
             else:
                 assert event.seconds == 0.0
 
     def test_at_partitions_the_events(self):
-        schedule = FaultSchedule.generate(3, steps=50, shards=2,
-                                          replication=3, rate=0.4)
+        schedule = FaultSchedule.generate(3, steps=50, workers=6, rate=0.4)
         gathered = [e for step in range(50) for e in schedule.at(step)]
         assert gathered == list(schedule.events)
 
     def test_rate_validation(self):
         with pytest.raises(ValueError, match="rate"):
-            FaultSchedule.generate(1, steps=10, shards=2, rate=1.5)
+            FaultSchedule.generate(1, steps=10, workers=2, rate=1.5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kinds"):
-            FaultSchedule.generate(1, steps=10, shards=2,
+            FaultSchedule.generate(1, steps=10, workers=2,
                                    kinds=("kill9", "meteor"))
 
     def test_default_kinds_skip_pacing_faults(self):
@@ -67,9 +65,9 @@ class TestFaultSchedule:
         assert "resume" not in DEFAULT_KINDS
 
     def test_event_describe_is_jsonable(self):
-        event = FaultEvent(step=4, kind="hang", shard=1, slot=0)
-        assert event.describe() == {"step": 4, "kind": "hang", "shard": 1,
-                                    "slot": 0, "seconds": 0.0}
+        event = FaultEvent(step=4, kind="hang", worker=3)
+        assert event.describe() == {"step": 4, "kind": "hang", "worker": 3,
+                                    "seconds": 0.0}
 
 
 class TestFaultInjectorDispatch:

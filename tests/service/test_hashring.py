@@ -41,6 +41,21 @@ def test_growing_the_ring_moves_few_names():
     assert moved < 2_000 * 0.45
 
 
+def test_preference_starts_at_the_owner_and_covers_every_shard():
+    ring = ConsistentHashRing(5)
+    fallbacks = set()
+    for i in range(500):
+        name = f"community_{i}"
+        order = ring.preference(name)
+        assert order[0] == ring.shard_for(name)
+        assert sorted(order) == list(range(5))
+        assert order == ConsistentHashRing(5).preference(name)
+        fallbacks.add(order[1])
+    # The first fallback is spread over the ring, not pinned to one shard.
+    assert len(fallbacks) == 5
+    assert ConsistentHashRing(1).preference("x") == [0]
+
+
 def test_single_shard_routes_everything_to_zero():
     ring = ConsistentHashRing(1)
     assert {ring.shard_for(f"n{i}") for i in range(50)} == {0}

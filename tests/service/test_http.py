@@ -1,6 +1,8 @@
 """The HTTP/JSON front end: round trips, error mapping, stats, the CLI."""
 
+import asyncio
 import json
+import random
 import socket
 import urllib.error
 import urllib.request
@@ -10,6 +12,7 @@ import pytest
 
 from repro.api import BloomDB, EngineConfig
 from repro.service import HTTPServiceClient
+from repro.service.aserver import _BadRequest, _read_request
 from repro.service.client import HTTPError
 
 
@@ -120,6 +123,30 @@ class TestErrorMapping:
         # The server is still healthy for the next connection.
         assert HTTPServiceClient(served.url).healthz() == {"ok": True}
 
+    def test_deeply_nested_json_is_400_and_closes(self, served):
+        """Nesting past the parser's recursion limit, far under the size
+        cap, is malformed JSON — not a dead connection task."""
+        body = b'{"set": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        response = raw_exchange(
+            served, b"POST /sample HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + str(len(body)).encode()
+                    + b"\r\n\r\n" + body)
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(payload) == {
+            "error": "request body is not valid JSON"}
+        assert HTTPServiceClient(served.url).healthz() == {"ok": True}
+
+    def test_out_of_range_ids_are_400(self, client, workload):
+        for path, body in (("/contains", {"set": workload[0][0], "x": -1}),
+                           ("/insert", {"ids": [-1]}),
+                           ("/insert", {"ids": [2**64]}),
+                           ("/add-set", {"set": "neg", "ids": [-1]})):
+            with pytest.raises(HTTPError) as info:
+                client._request("POST", path, body)
+            assert info.value.status == 400, (path, info.value)
+
     def test_duplicate_add_set_is_409(self, client, workload):
         with pytest.raises(HTTPError) as info:
             client.add_set(workload[0][0], [1, 2, 3])
@@ -211,7 +238,74 @@ class TestOccupancyWriteEndpoints:
     def test_insert_on_static_tree_is_a_noop_ok(self, client):
         assert client.insert_ids([1, 2, 3])["ok"] is True
 
+    def test_rejected_add_set_changes_nothing(self, dynamic_served):
+        """An id outside the namespace is a 400 that stores nothing: the
+        same name then adds cleanly and every worker serves it."""
+        from tests.service.conftest import probe_via, reference
+
+        http = HTTPServiceClient(dynamic_served.url)
+        pool = dynamic_served.client.pool
+        with pytest.raises(HTTPError) as info:
+            http.add_set("rejected", [5, 10**6])
+        assert info.value.status == 400
+        assert "rejected" not in pool.leader.names()
+        assert http.add_set("rejected", [5, 105, 205])["ok"] is True
+        want = reference(pool, "rejected", seed=21)
+        for worker in range(pool.num_workers):
+            assert probe_via(pool, worker, "rejected", seed=21) == want
+
     def test_insert_requires_ids_list(self, client):
         with pytest.raises(HTTPError) as excinfo:
             client._request("POST", "/insert", {"ids": "nope"})
         assert excinfo.value.status == 400
+
+
+def _fuzz_request(rng: random.Random) -> bytes:
+    """One random request: noise, or a plausible head over a random body."""
+    if rng.random() < 0.2:
+        return bytes(rng.getrandbits(8) for _ in range(rng.randrange(200)))
+    pieces = [b"{", b"}", b"[", b"]", b'"set"', b":", b",", b"1", b"-7",
+              b"1e999", b"null", b"\xff", b"\x00", b'"\\u', b" "]
+    body = b"".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
+    if rng.random() < 0.1:
+        depth = rng.randrange(1, 5_000)
+        body = b"[" * depth + b"]" * depth
+    length = rng.choice([str(len(body)).encode(), b"-1", b"abc", b"",
+                         str(rng.randrange(10**9)).encode(),
+                         str(max(0, len(body) - 3)).encode()])
+    line = rng.choice([b"POST /sample HTTP/1.1", b"GET /readyz HTTP/1.1",
+                       b"POST /x", b"", b"\xff\xfe \x00 HTTP/9"])
+    head = line + b"\r\nHost: x\r\nContent-Length: " + length
+    return head + b"\r\n\r\n" + body
+
+
+def test_read_request_fuzz_returns_request_none_or_bad_request():
+    """Seeded fuzz of the request reader over random heads and bodies:
+    a parsed request, ``None`` (connection closed) or
+    :class:`_BadRequest` (a 400) — never any other exception."""
+    rng = random.Random(20261019)
+
+    async def parse(data: bytes):
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await _read_request(reader)
+
+    async def fuzz():
+        seen = {"request": 0, "none": 0, "bad": 0}
+        for _ in range(1_500):
+            try:
+                request = await parse(_fuzz_request(rng))
+            except _BadRequest:
+                seen["bad"] += 1
+                continue
+            if request is None:
+                seen["none"] += 1
+            else:
+                method, path, body = request
+                assert isinstance(body, dict)
+                seen["request"] += 1
+        return seen
+
+    seen = asyncio.run(fuzz())
+    assert all(seen.values()), seen

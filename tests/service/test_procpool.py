@@ -1,13 +1,13 @@
 """Cross-process bit-identity: the serving tier's correctness property.
 
 The same seeded request batch must produce identical values *and*
-operation counters through direct engine calls, a 1-process pool, a
-4-process pool and a replicated (R=2) pool — on every tree backend.
-Identity holds because every stochastic request carries its own seed,
-every worker dispatches through the same batched kernels over the same
-compiled plan, and worker processes replay the leader's mutations
+operation counters through direct engine calls, a 1-process pool and a
+4-process pool — on every tree backend — and through every worker of a
+pool.  Identity holds because every stochastic request carries its own
+seed, every worker dispatches through the same batched kernels over the
+same compiled plan, and worker processes replay the leader's mutations
 through the recovery core — so batch composition, worker count and the
-replica that served a read are all unobservable.
+worker that served a read are all unobservable.
 """
 
 import json
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.api import BloomDB, EngineConfig, SampleSpec
-from repro.replication import ReplicatedShardPool
 from repro.service import BatchPolicy, ProcessService, ProcessShardPool
 from repro.service.client import encode_result
 from repro.service.procpool import (
@@ -75,24 +74,17 @@ def submit_plan(pool, plan):
     return [f.result(60) for f in futures]
 
 
-#: Pool shapes the identity property sweeps: one worker, four workers,
-#: and one shard group of two replicas (reads round-robin over both).
-TOPOLOGIES = {
-    "1-worker": lambda d: ProcessShardPool(
-        d, 1, policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
-    "4-workers": lambda d: ProcessShardPool(
-        d, 4, policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
-    "replicated-R2": lambda d: ReplicatedShardPool(
-        d, 1, replication=2, heartbeat_s=0.05,
-        policy=BatchPolicy(max_batch=64, max_delay_ms=1.0)),
-}
+#: Pool sizes the identity property sweeps.  ``every-worker-of-2`` runs
+#: the whole plan through each worker of a 2-worker pool in turn
+#: (routing forced), not just through the ring owners.
+TOPOLOGIES = {"1-worker": 1, "4-workers": 4, "every-worker-of-2": 2}
 
 
-#: Every tree backend through 1 and 4 workers, plus one replicated run
-#: on the backend with the most mutable state.
+#: Every tree backend through 1 and 4 workers, plus one every-worker
+#: run on the backend with the most mutable state.
 CASES = [(tree, topology) for tree in ("static", "pruned", "dynamic")
          for topology in ("1-worker", "4-workers")] + [
-    ("dynamic", "replicated-R2")]
+    ("dynamic", "every-worker-of-2")]
 
 
 class TestCrossProcessBitIdentity:
@@ -105,24 +97,32 @@ class TestCrossProcessBitIdentity:
         names = [name for name, _ in workload]
         plan = request_plan(names)
         db.save(tmp_path / "engine")
-        pool = TOPOLOGIES[topology](tmp_path / "engine")
+        pool = ProcessShardPool(
+            tmp_path / "engine", TOPOLOGIES[topology],
+            policy=BatchPolicy(max_batch=64, max_delay_ms=1.0))
         pool.start()
+        routes = ([pool._route] if topology != "every-worker-of-2" else
+                  [lambda key, w=w: w for w in range(pool.num_workers)])
         try:
-            # Dict equality covers values, requested, shortfall AND the
-            # OpCounter payload (intersections/memberships/nodes/backtracks).
-            assert submit_plan(pool, plan) == run_direct(db, plan)
-            for exhaustive in (False, True):
-                futures = [pool.submit("reconstruct", (name,),
-                                       exhaustive=exhaustive)
-                           for name in names]
-                want = db.store.reconstruct_many(names,
-                                                 exhaustive=exhaustive)
-                assert [f.result(60) for f in futures] == \
-                    [encode_result(result) for result in want]
-            for name, ids in workload[:3]:
-                for x in (int(ids[0]), int(ids[-1]), NAMESPACE - 1):
-                    got = pool.submit("contains", (name,), x=x).result(60)
-                    assert got == {"contains": db.contains(name, x)}
+            for route in routes:
+                pool._route = route
+                # Dict equality covers values, requested, shortfall AND
+                # the OpCounter payload (intersections / memberships /
+                # nodes / backtracks).
+                assert submit_plan(pool, plan) == run_direct(db, plan)
+                for exhaustive in (False, True):
+                    futures = [pool.submit("reconstruct", (name,),
+                                           exhaustive=exhaustive)
+                               for name in names]
+                    want = db.store.reconstruct_many(names,
+                                                     exhaustive=exhaustive)
+                    assert [f.result(60) for f in futures] == \
+                        [encode_result(result) for result in want]
+                for name, ids in workload[:3]:
+                    for x in (int(ids[0]), int(ids[-1]), NAMESPACE - 1):
+                        got = pool.submit("contains", (name,),
+                                          x=x).result(60)
+                        assert got == {"contains": db.contains(name, x)}
         finally:
             pool.close()
 

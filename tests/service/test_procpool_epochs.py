@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.api import BloomDB, EngineConfig, SampleSpec
-from repro.service import ProcessShardPool
+from repro.service import ProcessShardPool, procpool
 from repro.service.client import encode_result
+from repro.service.procpool import _WorkerAttachment, write_epoch_state
 
 NAMESPACE = 8_000
 ROUNDS = 8  # mutation rounds; references enumerate ROUNDS + 1 states
@@ -147,3 +148,54 @@ class TestEpochPromotionRaces:
         assert final == references[-1]
         # The promotions really happened: generation moved past 0.
         assert pool.epoch_state()["gen"] >= 2
+
+
+class TestWorkerLogReads:
+    """The worker's view of ``EPOCH`` + its log, forced into the two
+    interleavings a concurrent leader produces (no processes needed:
+    the attachment is driven in-process)."""
+
+    def test_records_no_epoch_published_are_not_replayed(self, workload,
+                                                         tmp_path):
+        """Mid-fanout, a log holds records ``EPOCH`` has not published
+        yet; replaying them early would serve half a write."""
+        db = build_db(workload, np.arange(100, 200, dtype=np.uint64))
+        pool = ProcessShardPool.from_engine(db, tmp_path / "engine", 1)
+        try:
+            pool._wals[0].append("add_set", np.arange(5, dtype=np.uint64),
+                                 epoch=0, name="half")
+            att = _WorkerAttachment(tmp_path / "engine", 0)
+            att.attach()
+            assert "half" not in att.db.names()
+            write_epoch_state(tmp_path / "engine",
+                              dict(pool.epoch_state(), wal_seq=1))
+            att.refresh()
+            assert "half" in att.db.names()
+            assert att.status()["applied"] == 1
+        finally:
+            pool.close()
+
+    def test_a_log_reset_for_a_newer_generation_is_not_replayed(
+            self, workload, tmp_path, monkeypatch):
+        """The leader resets the logs before it publishes a generation;
+        a worker holding the older ``EPOCH`` must not replay the new
+        log onto the old snapshot, but retry until the two agree."""
+        db = build_db(workload, np.arange(100, 200, dtype=np.uint64))
+        pool = ProcessShardPool.from_engine(db, tmp_path / "engine", 1)
+        try:
+            att = _WorkerAttachment(tmp_path / "engine", 0)
+            att.attach()
+            stale = dict(pool.epoch_state(), wal_seq=1)
+            pool.drop_set("set0")  # promotes generation 1
+            pool.add_set("fresh", np.arange(300, 340, dtype=np.uint64))
+            reads = iter([stale, stale])
+            real = procpool.read_epoch_state
+            monkeypatch.setattr(
+                procpool, "read_epoch_state",
+                lambda directory: next(reads, None) or real(directory))
+            att.refresh()
+            assert att.state["gen"] == pool.epoch_state()["gen"] == 1
+            assert "set0" not in att.db.names()
+            assert "fresh" in att.db.names()
+        finally:
+            pool.close()

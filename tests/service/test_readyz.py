@@ -24,6 +24,9 @@ class TestReadiness:
 
     def test_readyz_reports_the_worker_pool(self, served):
         payload = HTTPServiceClient(served.url).readyz()
+        # Other tests write to this shared server; an idle worker may
+        # be a heartbeat behind on them.
+        assert 0 <= payload.pop("lag_max") <= 1024
         assert payload == {"ready": True, "mode": "process", "workers": 2,
                            "alive": 2}
 

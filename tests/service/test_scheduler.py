@@ -50,11 +50,13 @@ def slow(reference_db, tmp_path_factory):
     """One worker, a 20 ms gather window and an 8-deep queue.
 
     The long window makes requests sent together land in one batch;
-    the shallow queue makes admission control reachable.
+    the shallow queue makes admission control reachable.  Tests here
+    SIGSTOP the worker on purpose, so the hang timeout outlasts them.
     """
     directory = tmp_path_factory.mktemp("slow") / "engine"
-    with serve(reference_db, directory, workers=1, max_batch=256,
-               max_delay_ms=20.0, queue_depth=8) as server:
+    with serve(reference_db, directory, workers=1, hang_timeout_s=60.0,
+               max_batch=256, max_delay_ms=20.0,
+               queue_depth=8) as server:
         yield server
 
 
