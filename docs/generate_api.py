@@ -102,14 +102,14 @@ The tree variant is purely a config string (``"static"``, ``"pruned"``,
 
 ### Serving traffic: the `repro.service` subsystem
 
-For concurrent request streams, serve a compiled engine from a pool of
+For concurrent request streams, serve a saved engine from a pool of
 worker processes (micro-batching + admission control + metrics; see
 `docs/service.md`):
 
 ```python
 from repro.service import ProcessService, ProcessShardPool
 
-db = BloomDB.plan(namespace_size=1_000_000, seed=7, plan="compiled")
+db = BloomDB.plan(namespace_size=1_000_000, seed=7)
 db.add_set("community_7", ids)
 pool = ProcessShardPool.from_engine(db, "serving_dir", workers=2)
 with ProcessService(pool) as svc:
@@ -138,6 +138,20 @@ but new code should use `BloomDB`:
 | `save_tree(tree, path)` / `load_tree(path)` | `db.save(dir)` / `BloomDB.load(dir)` |
 | `FilterStore(family, tree=...)` | owned by the engine (`db.store`) |
 | isinstance checks on tree classes | `backend_for(key)` / `backend_key_of(tree)` |
+
+### Migration from the `plan` / `mutation` engine knobs
+
+Every engine samples batches through its compiled plan and publishes
+delta epochs on occupancy writes; the knobs that chose otherwise are
+gone:
+
+| before | now |
+|---|---|
+| `EngineConfig(plan=..., mutation=...)` | no such fields: `TypeError` |
+| `BloomDB.plan(..., plan=..., mutation=...)` | accepted and ignored |
+| `"plan"` / `"mutation"` in a saved `engine.json` | accepted and ignored by `EngineConfig.from_dict`; `save()` writes `"compiled"` / `"delta"` |
+| `plan="objects"` save (`tree.npz` + `sets.npz`) | still loads; compiled on the first batched read |
+| `repro compile --db DIR`, then `repro serve --db DIR` | removed: `repro serve --db DIR` serves any save |
 """
 
 

@@ -49,9 +49,8 @@ def main() -> None:
           f"{len(dataset.hashtag_audiences)} hashtag audiences in a "
           f"namespace of {dataset.namespace_size}")
 
-    # Workers attach to the compiled plan, so the engine uses one.
     db = BloomDB.plan(namespace_size=args.namespace, accuracy=0.8,
-                      set_size=1_000, seed=args.seed, plan="compiled")
+                      set_size=1_000, seed=args.seed)
     names = []
     for i, audience in enumerate(dataset.hashtag_audiences):
         name = f"tag-{i:03d}"

@@ -49,12 +49,6 @@ Commands
     ``--verify`` CRC-checks the snapshot blobs, ``--checkpoint`` folds
     the replayed state into a fresh snapshot.
 
-``compile``
-    Compile a saved engine directory into the flat-array plan format
-    (:mod:`repro.core.plan`): ``plan.bst`` + ``sets.bst``, raw buffers
-    that load via ``np.memmap`` — cold starts become O(mmap) and every
-    serving shard shares one read-only tree mapping.
-
 All engine-backed commands take ``--tree static|pruned|dynamic`` and
 ``--family simple|murmur3|md5`` — the variant is purely a config choice.
 """
@@ -231,44 +225,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-    import time
-
-    from repro.api import BloomDB
-
-    path = pathlib.Path(args.db)
-    engine_file = path / "engine.json"
-    if not engine_file.exists():
-        raise SystemExit(f"no saved engine at {args.db} "
-                         f"(expected an engine.json inside)")
-    if (path / "plan.bst").exists() and not args.force:
-        print(f"{args.db} already holds a compiled plan "
-              f"(use --force to recompile)")
-        return 0
-
-    start = time.perf_counter()
-    db = BloomDB.load(args.db)
-    plan = db.compiled_tree()
-    plan.save(path / "plan.bst")
-    db.store.save_compiled(path / "sets.bst")
-    payload = json.loads(engine_file.read_text())
-    payload["config"]["plan"] = "compiled"
-    engine_file.write_text(json.dumps(payload, indent=2))
-    elapsed = time.perf_counter() - start
-
-    plan_bytes = (path / "plan.bst").stat().st_size
-    sets_bytes = (path / "sets.bst").stat().st_size
-    print(f"compiled {plan.num_nodes} nodes "
-          f"({plan.backend} tree, depth {plan.depth}) in {elapsed:.2f}s")
-    print(f"plan.bst: {plan_bytes / 1e6:.2f} MB  "
-          f"sets.bst: {sets_bytes / 1e6:.2f} MB ({len(db.names())} sets)")
-    print(f"engine.json now says plan=\"compiled\"; subsequent "
-          f"`--db {args.db}` loads mmap these buffers")
-    return 0
-
-
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     """Print the cross-PR speedup trajectory table from BENCH_history.json.
 
@@ -389,7 +345,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _build_server(args):
     """Construct the pool + asyncio front end ``repro serve`` runs.
 
-    ``--db`` serves a saved compiled-plan engine directory in place
+    ``--db`` serves a saved engine directory in place
     (``EPOCH`` / generation links / per-worker logs live next to the
     snapshot); ``--durable DIR`` open-or-creates a durable leader there,
     seeded from ``--db`` or an ephemeral engine on first run; otherwise
@@ -453,31 +409,24 @@ def _build_server(args):
 def _seed_durable_engine(directory, template, sync: str) -> None:
     """Persist ``template`` as a durable leader engine at ``directory``.
 
-    The config is upgraded the way :func:`~repro.durability.open_durable`
-    upgrades it — durability on, compiled plan, delta mutation — with
-    the template's sets and occupancy carried over; the pool then
-    recovers it through the normal ``open_durable`` path.
+    Its plan and sets are saved under the config
+    :func:`~repro.durability.open_durable` would give it — durability
+    on; the pool then recovers it through the normal ``open_durable``
+    path.
     """
     import dataclasses
 
     from repro.api import BloomDB
 
     config = dataclasses.replace(
-        template.config, durability="wal", plan="compiled",
-        mutation="delta", wal_sync=sync)
-    if template.spec.requires_occupied:
-        db = BloomDB(config, params=template.params,
-                     family=template.family, occupied=template.occupied)
-    else:
-        db = BloomDB(config, params=template.params,
-                     family=template.family, tree=template.tree)
-    for name in template.names():
-        db.store.install(name, template.filter(name).copy())
-    db.save(directory)
+        template.config, durability="wal", wal_sync=sync)
+    BloomDB(config, params=template.params, family=template.family,
+            tree=lambda: template.tree, store=template.store,
+            compiled=template.compiled_tree()).save(directory)
 
 
 def _ephemeral_engine(args):
-    """A compiled-plan engine with ``--num-sets`` synthetic sets."""
+    """An engine with ``--num-sets`` synthetic sets."""
     from repro.api import BloomDB
     from repro.workloads.generators import uniform_query_set
 
@@ -488,8 +437,6 @@ def _ephemeral_engine(args):
         family=args.family,
         tree=args.tree,
         seed=args.seed,
-        plan="compiled",
-        mutation="delta",
     )
     for i in range(args.num_sets):
         ids = uniform_query_set(args.namespace, args.set_size,
@@ -762,8 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.api.config import backends_available, families_available
     defaults = _BUILD_ARG_DEFAULTS
     serve.add_argument("--db", default=None,
-                       help="saved compiled-plan engine directory to "
-                            "serve in place (see `repro compile`)")
+                       help="saved engine directory (BloomDB.save) to "
+                            "serve in place")
     serve.add_argument("--namespace", "-M", type=int,
                        default=defaults["namespace"])
     serve.add_argument("--set-size", "-n", type=int,
@@ -850,17 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--output-dir", default=".",
                        help="where BENCH_*.json are written (default: .)")
     bench.set_defaults(func=_cmd_bench)
-
-    compile_cmd = sub.add_parser(
-        "compile",
-        help="compile a saved engine into the mmap-loadable flat-array "
-             "plan (plan.bst + sets.bst; flips engine.json to "
-             "plan=\"compiled\")")
-    compile_cmd.add_argument("--db", required=True,
-                             help="saved engine directory (BloomDB.save)")
-    compile_cmd.add_argument("--force", action="store_true",
-                             help="recompile even if plan.bst exists")
-    compile_cmd.set_defaults(func=_cmd_compile)
 
     recover = sub.add_parser(
         "recover",

@@ -33,15 +33,18 @@ DEFAULT_SET_SIZE = 1_000
 
 _FAMILIES = FAMILY_NAMES
 _DESCENTS = ("threshold", "floored")
-_PLANS = ("objects", "compiled")
 _DESCENT_BACKENDS = ("numpy", "native")
-_MUTATIONS = ("invalidate", "delta")
 _DURABILITY = ("off", "wal")
 _WAL_SYNCS = ("always", "batch", "off")
 
 #: Default delta density at which the engine folds the overlay back
 #: into a fresh base plan (see :meth:`repro.api.BloomDB.compact`).
 DEFAULT_COMPACT_THRESHOLD = 0.5
+
+#: The retired ``plan`` / ``mutation`` knobs, at the one engine left.
+#: ``from_dict`` and ``BloomDB.plan`` drop them; ``BloomDB.save`` writes
+#: them, since releases that read them load a save without as objects.
+LEGACY_ENGINE_KEYS = {"plan": "compiled", "mutation": "delta"}
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,6 @@ class EngineConfig:
     ``descent``
         Branch policy of :class:`~repro.core.sampling.BSTSampler`:
         ``"threshold"`` (paper) or ``"floored"`` (starvation-free).
-    ``plan``
-        Descent execution plan: ``"objects"`` (recursion over the
-        pointer-linked node graph) or ``"compiled"`` (the flat-array
-        :class:`~repro.core.plan.CompiledTree`: batched sampling runs
-        the level-synchronous
-        :func:`~repro.core.plan.descend_frontier` kernel — bit-identical
-        results — and saved engines persist an ``np.memmap``-loadable
-        plan for O(mmap) cold starts).  See ``docs/performance.md``.
     ``descent_backend``
         Replay backend for the compiled descent path: ``"native"``
         (default) uses the compile-on-demand C kernel from
@@ -84,14 +79,6 @@ class EngineConfig:
         are bit-identical (values and OpCounters) per shared rng
         stream.  The ``REPRO_DESCENT_BACKEND`` environment variable
         overrides this field at runtime.
-    ``mutation``
-        How occupancy mutations treat a published compiled plan:
-        ``"delta"`` (default) layers them as a
-        :class:`~repro.core.plan.CompiledTree`-preserving
-        :class:`~repro.core.delta.PlanDelta` overlay — sampling keeps
-        the flat-array descent path, bit-identical to a from-scratch
-        recompile; ``"invalidate"`` is the legacy behaviour (drop the
-        plan, recompile lazily on the next compiled batch).
     ``compact_threshold``
         Delta density (dirty-node fraction) at which the engine
         auto-folds the overlay into a fresh base plan after a mutation
@@ -102,8 +89,7 @@ class EngineConfig:
         explicit saves.  ``"wal"``: the engine journals every mutation
         to a write-ahead log before publishing its epoch and recovers
         the exact pre-crash state on restart (see
-        :mod:`repro.durability`); requires ``plan="compiled"`` and
-        ``mutation="delta"`` — recovery replays into delta overlays
+        :mod:`repro.durability`) — recovery replays into delta overlays
         over the mmap-loaded snapshot.
     ``wal_sync``
         WAL fsync policy: ``"always"`` (fsync per append, survives
@@ -128,9 +114,7 @@ class EngineConfig:
     tree: str = "static"
     threshold: float = DEFAULT_EMPTY_THRESHOLD
     descent: str = "threshold"
-    plan: str = "objects"
     descent_backend: str = "native"
-    mutation: str = "delta"
     compact_threshold: float = DEFAULT_COMPACT_THRESHOLD
     durability: str = "off"
     wal_sync: str = "batch"
@@ -157,17 +141,10 @@ class EngineConfig:
             raise ValueError(
                 f"unknown descent policy {self.descent!r} "
                 f"(known: {_DESCENTS})")
-        if self.plan not in _PLANS:
-            raise ValueError(
-                f"unknown execution plan {self.plan!r} (known: {_PLANS})")
         if self.descent_backend not in _DESCENT_BACKENDS:
             raise ValueError(
                 f"unknown descent backend {self.descent_backend!r} "
                 f"(known: {_DESCENT_BACKENDS})")
-        if self.mutation not in _MUTATIONS:
-            raise ValueError(
-                f"unknown mutation mode {self.mutation!r} "
-                f"(known: {_MUTATIONS})")
         if self.compact_threshold <= 0:
             raise ValueError("compact_threshold must be positive")
         if self.durability not in _DURABILITY:
@@ -178,16 +155,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown wal_sync policy {self.wal_sync!r} "
                 f"(known: {_WAL_SYNCS})")
-        if self.durability == "wal":
-            if self.plan != "compiled":
-                raise ValueError(
-                    "durability=\"wal\" requires plan=\"compiled\" "
-                    "(recovery replays onto the mmap-loaded snapshot)")
-            if self.mutation != "delta":
-                raise ValueError(
-                    "durability=\"wal\" requires mutation=\"delta\" "
-                    "(invalidate-mode mutations publish no epoch id to "
-                    "journal)")
         if self.k <= 0:
             raise ValueError("k must be positive")
         if self.depth is not None:
@@ -236,11 +203,13 @@ class EngineConfig:
     def from_dict(cls, data: dict) -> "EngineConfig":
         """Rebuild a config saved with :meth:`to_dict`.
 
-        Unknown keys are rejected so stale save files fail loudly rather
-        than silently dropping a knob.
+        The retired :data:`LEGACY_ENGINE_KEYS` are dropped, whatever
+        their value.  Any other unknown key is rejected so stale save
+        files fail loudly rather than silently dropping a knob.
         """
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(data) - fields
+        data = {key: value for key, value in data.items()
+                if key not in LEGACY_ENGINE_KEYS}
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown EngineConfig keys: {sorted(unknown)}")
         return cls(**data)

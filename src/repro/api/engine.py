@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.api.batch import BatchReport, SampleSpec
-from repro.api.config import EngineConfig
+from repro.api.config import LEGACY_ENGINE_KEYS, EngineConfig
 from repro.core.backend import (
     BackendSpec,
     TreeBackend,
@@ -51,21 +51,20 @@ from repro.core.delta import (
 )
 from repro.core.design import TreeParameters
 from repro.core.hashing import HashFamily
-from repro.core.kernels import PositionCache
 from repro.core.plan import CompiledTree
 from repro.core.reconstruct import BSTReconstructor, ReconstructionResult
 from repro.core.sampling import BSTSampler, MultiSampleResult, SampleResult
-from repro.core.serialization import load_tree, save_tree
+from repro.core.serialization import load_tree
 from repro.core.store import FilterStore
 from repro.obs.runtime import RUNTIME
 from repro.obs.trace import record_stage
 
 #: Name of the config file inside a saved engine directory.
 _ENGINE_FILE = "engine.json"
+#: The object layout of older releases, which :meth:`BloomDB.load` reads.
 _TREE_FILE = "tree.npz"
 _SETS_FILE = "sets.npz"
-#: Compiled artefacts written alongside when ``plan == "compiled"``:
-#: the flat-array tree plan and the packed set filters, both loadable
+#: The saved flat-array tree plan and packed set filters, both loadable
 #: via ``np.memmap`` (see repro.core.mmapio).
 _PLAN_FILE = "plan.bst"
 _SETS_COMPILED_FILE = "sets.bst"
@@ -206,9 +205,9 @@ class BloomDB:
     def tree(self) -> TreeBackend:
         """The tree backend (materialised from the plan on first use).
 
-        Engines loaded with ``plan="compiled"`` defer building the
-        pointer-linked node graph: compiled sampling never needs it, so a
-        serving cold start that only samples pays O(mmap).  The first
+        Loaded engines defer building the pointer-linked node graph:
+        batched sampling never needs it, so a serving cold start that
+        only samples pays O(mmap).  The first
         operation that genuinely walks objects (reconstruction, a single
         :meth:`sample`, occupancy updates) materialises it here.
         """
@@ -230,10 +229,9 @@ class BloomDB:
 
         If the published epoch carries a mutation overlay, it is folded
         in first (:meth:`compact`), so the returned plan always reflects
-        the live tree — this is what :meth:`save` and the ``repro
-        compile`` CLI persist.  Batched sampling does *not* come through
-        here: it reads the published :class:`EngineEpoch` view, which
-        keeps deltas sparse.
+        the live tree — this is what :meth:`save` persists.  Batched
+        sampling does *not* come through here: it reads the published
+        :class:`EngineEpoch` view, which keeps deltas sparse.
         """
         epoch = self.current_epoch()
         if epoch.delta is not None and not epoch.delta.is_empty:
@@ -359,8 +357,7 @@ class BloomDB:
         mutated first (it is the authoritative state); the next epoch
         extends the published delta overlay, or is a fresh recompile
         when the overlay cannot express the change or has grown past
-        ``compact_threshold``.  With ``mutation="invalidate"`` the epoch
-        is cleared instead and the next reader recompiles.
+        ``compact_threshold``.
 
         The (re-entrant) plan lock is held from the tree mutation to the
         publication: two concurrent writers must not both extend the
@@ -392,10 +389,6 @@ class BloomDB:
                 # Nothing published: drop any stale pre-epoch plan and
                 # let the next reader compile from the mutated tree.
                 self._compiled = None
-                return
-            if self.config.mutation == "invalidate":
-                self._compiled = None
-                self._epoch = None
                 return
             delta = (current.delta if current.delta is not None
                      else PlanDelta(current.plan))
@@ -545,15 +538,14 @@ class BloomDB:
         tree: str = "static",
         threshold: float | None = None,
         descent: str = "threshold",
-        plan: str = "objects",
         descent_backend: str = "native",
-        mutation: str = "delta",
         compact_threshold: float | None = None,
         seed: int = 0,
         k: int = 3,
         cost_ratio: float | None = None,
         depth: int | None = None,
         occupied=None,
+        **legacy,
     ) -> "BloomDB":
         """Plan parameters from the Section 5.4 knobs and build the engine.
 
@@ -564,8 +556,13 @@ class BloomDB:
         ``occupied`` seeds occupancy-tracking backends with the ids
         already in use, using the variant's bulk build (much faster than
         :meth:`insert_ids` after the fact); the static backend, which
-        always covers the full namespace, ignores it.
+        always covers the full namespace, ignores it.  The retired
+        :data:`~repro.api.config.LEGACY_ENGINE_KEYS` are ignored.
         """
+        unknown = set(legacy) - set(LEGACY_ENGINE_KEYS)
+        if unknown:
+            raise TypeError(f"BloomDB.plan() got unexpected keyword "
+                            f"arguments {sorted(unknown)}")
         kwargs = dict(
             namespace_size=namespace_size,
             accuracy=accuracy,
@@ -573,9 +570,7 @@ class BloomDB:
             family=family,
             tree=tree,
             descent=descent,
-            plan=plan,
             descent_backend=descent_backend,
-            mutation=mutation,
             seed=seed,
             k=k,
             cost_ratio=cost_ratio,
@@ -752,26 +747,17 @@ class BloomDB:
         specs = self._normalise_requests(names, r, replacement)
         report = BatchReport()
         start = time.perf_counter()
-        if self.config.plan == "compiled":
-            # Flat-array path: one level-synchronous descend_frontier
-            # pass serves the whole batch (bit-identical per request).
-            # The epoch is pinned once here — a concurrent occupancy
-            # writer publishes behind us without ever blocking the read.
-            results = self.store.sample_batch_compiled(
-                self.current_epoch().view(),
-                [(spec.name, spec.rounds, spec.replacement, spec.seed)
-                 for _, spec in specs],
-                backend=self.config.descent_backend)
-            for (key, _), result in zip(specs, results):
-                report.add(key, result)
-        else:
-            # One shared position cache: every request's paths hash each
-            # leaf's candidates at most once for the whole batch.
-            cache = PositionCache(self.tree)
-            for key, spec in specs:
-                report.add(key, self.store.sample_many(
-                    spec.name, spec.rounds, spec.replacement,
-                    position_cache=cache, rng=spec.seed))
+        # One level-synchronous descend_frontier pass over the compiled
+        # plan serves the whole batch (bit-identical per request).  The
+        # epoch is pinned once here — a concurrent occupancy writer
+        # publishes behind us without ever blocking the read.
+        results = self.store.sample_batch_compiled(
+            self.current_epoch().view(),
+            [(spec.name, spec.rounds, spec.replacement, spec.seed)
+             for _, spec in specs],
+            backend=self.config.descent_backend)
+        for (key, _), result in zip(specs, results):
+            report.add(key, result)
         report.elapsed_s = time.perf_counter() - start
         return report
 
@@ -839,11 +825,12 @@ class BloomDB:
     def save(self, path) -> pathlib.Path:
         """Persist the whole engine under directory ``path``.
 
-        Writes three files: ``engine.json`` (the config), ``tree.npz``
-        (the tree backend) and ``sets.npz`` (every named filter).  With
-        ``plan="compiled"`` it additionally writes the mmap-loadable
-        compiled artefacts (``plan.bst``, ``sets.bst``) that make
-        :meth:`load` O(mmap).  Returns the directory path.
+        Writes three files: ``engine.json`` (the config), ``plan.bst``
+        (the compiled tree plan, any pending delta folded in) and
+        ``sets.bst`` (every named filter, packed) — raw buffers that
+        make :meth:`load` O(mmap).  ``engine.json`` also records the
+        retired :data:`~repro.api.config.LEGACY_ENGINE_KEYS`.  Returns
+        the directory path.
 
         Durable engines snapshot through :meth:`checkpoint` instead —
         a free-standing ``save()`` would write a snapshot that carries
@@ -856,13 +843,11 @@ class BloomDB:
                 "promoted epoch id")
         path = pathlib.Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        payload = {"format": _SAVE_FORMAT, "config": self.config.to_dict()}
+        payload = {"format": _SAVE_FORMAT,
+                   "config": {**self.config.to_dict(), **LEGACY_ENGINE_KEYS}}
         (path / _ENGINE_FILE).write_text(json.dumps(payload, indent=2))
-        save_tree(self.tree, path / _TREE_FILE)
-        self.store.save(path / _SETS_FILE)
-        if self.config.plan == "compiled":
-            self.compiled_tree().save(path / _PLAN_FILE)
-            self.store.save_compiled(path / _SETS_COMPILED_FILE)
+        self.compiled_tree().save(path / _PLAN_FILE)
+        self.store.save_compiled(path / _SETS_COMPILED_FILE)
         return path
 
     @classmethod
@@ -870,18 +855,19 @@ class BloomDB:
              sets_file: str | None = None) -> "BloomDB":
         """Rebuild an engine saved with :meth:`save`.
 
-        A ``plan="compiled"`` save with its compiled artefacts present
-        loads through ``np.memmap``: no decompression, no object graph —
-        the tree materialises lazily from the plan on first
-        object-walking operation, and compiled sampling never needs it.
+        The saved artefacts load through ``np.memmap``: no
+        decompression, no object graph — the tree materialises lazily
+        from the plan on the first object-walking operation, and
+        batched sampling never needs it.
 
-        ``plan_file`` / ``sets_file`` override the compiled artefact
-        names inside ``path`` — the multi-process serving tier promotes
-        epochs as generation-named snapshot pairs next to the canonical
+        ``plan_file`` / ``sets_file`` override the artefact names inside
+        ``path`` — the multi-process serving tier promotes epochs as
+        generation-named snapshot pairs next to the canonical
         ``plan.bst``/``sets.bst``, and its workers attach to exactly the
         pair the ``EPOCH`` version file names (see
-        :mod:`repro.service.procpool`).  Only meaningful for
-        ``plan="compiled"`` saves.
+        :mod:`repro.service.procpool`).  A directory in the object
+        layout of older releases (``tree.npz`` + ``sets.npz``, no
+        ``plan.bst``) loads too; its plan compiles on the first read.
         """
         path = pathlib.Path(path)
         payload = json.loads((path / _ENGINE_FILE).read_text())
@@ -889,18 +875,9 @@ class BloomDB:
         if fmt != _SAVE_FORMAT:
             raise ValueError(f"unsupported engine save format {fmt}")
         config = EngineConfig.from_dict(payload["config"])
-        if (plan_file is not None or sets_file is not None) \
-                and config.plan != "compiled":
-            raise ValueError(
-                "plan_file/sets_file overrides need a plan=\"compiled\" "
-                "engine save; this save has no compiled artefacts")
 
-        plan_path = path / (plan_file if plan_file is not None
-                            else _PLAN_FILE)
-        if plan_file is not None and not plan_path.exists():
-            raise FileNotFoundError(
-                f"{path} holds no compiled plan named {plan_file!r}")
-        if config.plan == "compiled" and plan_path.exists():
+        plan_path = path / (plan_file or _PLAN_FILE)
+        if plan_file is not None or plan_path.exists():
             plan = CompiledTree.load(plan_path)
             # Pay the per-plan setup (position tables, hoisted descent
             # constants, frontier buffers) once at attach, not inside
@@ -914,18 +891,10 @@ class BloomDB:
             spec = backend_for(config.tree)
             materialise = _materialise_once(
                 lambda: plan.to_tree(writable=spec.requires_occupied))
-            sets_compiled = path / (sets_file if sets_file is not None
-                                    else _SETS_COMPILED_FILE)
-            if sets_compiled.exists():
-                store = FilterStore.load_compiled(
-                    sets_compiled, tree=materialise, rng=config.seed,
-                    empty_threshold=config.threshold,
-                    descent=config.descent)
-            else:
-                store = FilterStore.load(
-                    path / _SETS_FILE, tree=materialise, rng=config.seed,
-                    empty_threshold=config.threshold,
-                    descent=config.descent)
+            store = FilterStore.load_compiled(
+                path / (sets_file or _SETS_COMPILED_FILE), tree=materialise,
+                rng=config.seed, empty_threshold=config.threshold,
+                descent=config.descent)
             return cls(config, family=plan.family, tree=materialise,
                        store=store, compiled=plan)
 

@@ -19,6 +19,7 @@ numbers measure exactly what the serving surface ships.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -27,6 +28,8 @@ import numpy as np
 
 from repro.api import BloomDB
 from repro.core import kernels
+from repro.core.kernels import PositionCache
+from repro.core.serialization import save_tree
 from repro.obs.runtime import RUNTIME
 
 #: Scalar hashing microbenchmarks are capped at this many elements so the
@@ -87,16 +90,24 @@ def build_engine(params: dict, family: str | None = None):
     return db, [name for name, _ in sets]
 
 
-def _compiled_twin(db: BloomDB) -> BloomDB:
-    """``db`` re-wrapped with ``plan="compiled"``: same tree, same sets.
+def _sample_objects(db: BloomDB, specs) -> dict:
+    """The recursive object-graph sampler (the compiled plan's oracle):
+    one seeded sampler per request, one position cache per batch."""
+    cache = PositionCache(db.tree)
+    return {spec.key: db.store.sample_many(
+                spec.name, spec.rounds, spec.replacement,
+                position_cache=cache, rng=spec.seed)
+            for spec in specs}
 
-    Worker processes attach to the compiled artefacts, so this is what a
-    serving scenario saves into the directory its pool serves.
-    """
-    from dataclasses import replace
 
-    return BloomDB(replace(db.config, plan="compiled"), params=db.params,
-                   family=db.family, tree=db.tree, store=db.store)
+def _save_objects(db: BloomDB, directory: str) -> None:
+    """Save ``db`` in the object layout of older releases (npz tree and
+    filters, no plan): loading it rebuilds the node graph."""
+    os.makedirs(directory)
+    with open(f"{directory}/engine.json", "w") as out:
+        json.dump({"format": 1, "config": db.config.to_dict()}, out)
+    save_tree(db.tree, f"{directory}/tree.npz")
+    db.store.save(f"{directory}/sets.npz")
 
 
 def _per_query_us(seconds: float, queries: int) -> float:
@@ -220,8 +231,7 @@ def _run_descent_compiled(params: dict) -> dict:
     db, names = build_engine(params)
 
     def compiled_engine(backend: str) -> BloomDB:
-        fresh = BloomDB(replace(db.config, plan="compiled",
-                                descent_backend=backend),
+        fresh = BloomDB(replace(db.config, descent_backend=backend),
                         params=db.params, family=db.family, tree=db.tree)
         for name in names:
             fresh.store.install(name, db.filter(name))
@@ -235,9 +245,9 @@ def _run_descent_compiled(params: dict) -> dict:
              for i in range(requests)]
     queries = requests * rounds
 
-    recursive_s = min(_timed(lambda: db.sample_many(specs))[0]
+    recursive_s = min(_timed(lambda: _sample_objects(db, specs))[0]
                       for _ in range(repeats))
-    recursive = db.sample_many(specs)
+    recursive = _sample_objects(db, specs)
 
     backends = {}
     identical = True
@@ -294,8 +304,9 @@ def _run_descent_coldstart(params: dict) -> dict:
     the timed section is exactly what a worker pays at attach —
     ``BloomDB.load`` (mmap + per-plan setup for the compiled layout,
     npz decompress + node-graph rebuild for objects) plus the *first*
-    seeded sample batch, before any frontier cache is warm.  Results
-    are verified bit-identical between layouts.
+    seeded sample batch (the recursive sampler on the object graph),
+    before any frontier cache is warm.  Results are verified
+    bit-identical between layouts.
     """
     import shutil
     import tempfile
@@ -306,26 +317,25 @@ def _run_descent_coldstart(params: dict) -> dict:
     rounds = int(params.get("rounds", 32))
     requests = int(params.get("requests", 32))
     db, names = build_engine(params)
-    compiled_db = _compiled_twin(db)
     specs = [SampleSpec(names[i % len(names)], rounds, seed=i, key=str(i))
              for i in range(requests)]
 
-    def attach(directory):
+    def attach(directory, sample):
         load_s, engine = _timed(lambda: BloomDB.load(directory))
-        batch_s, report = _timed(lambda: engine.sample_many(specs))
+        batch_s, report = _timed(lambda: sample(engine, specs))
         return load_s, batch_s, report
 
     tmp = tempfile.mkdtemp(prefix="repro-descent-cold-")
     try:
         objects_dir = f"{tmp}/objects"
         compiled_dir = f"{tmp}/compiled"
-        db.save(objects_dir)
-        compiled_db.save(compiled_dir)
+        _save_objects(db, objects_dir)
+        db.save(compiled_dir)
 
         objects_runs, compiled_runs = [], []
         for _ in range(repeats):
-            objects_runs.append(attach(objects_dir))
-            compiled_runs.append(attach(compiled_dir))
+            objects_runs.append(attach(objects_dir, _sample_objects))
+            compiled_runs.append(attach(compiled_dir, BloomDB.sample_many))
         o_load, o_batch, objects_report = min(
             objects_runs, key=lambda run: run[0] + run[1])
         c_load, c_batch, compiled_report = min(
@@ -363,12 +373,12 @@ def _run_descent_coldstart(params: dict) -> dict:
 def _run_write_churn(params: dict) -> dict:
     """Compiled sampling under id churn: delta overlay vs. invalidate.
 
-    Two identically-built compiled engines absorb the same deterministic
-    churn stream — per cycle one retire batch, one insert batch, then a
-    seeded sample batch — differing only in ``mutation``: the epoch/delta
-    pipeline keeps the flat-array descent live through a sparse overlay,
-    while the invalidate baseline pays a full plan recompile before the
-    next batch.  Per-cycle results are verified bit-identical between
+    Two identically-built engines absorb the same deterministic churn
+    stream — per cycle one retire batch, one insert batch, then a
+    seeded sample batch: the engine's epoch/delta pipeline keeps the
+    flat-array descent live through a sparse overlay, while the
+    invalidate baseline pays a full plan recompile before the next
+    batch.  Per-cycle results are verified bit-identical between
     the two pipelines, and the final cycle additionally against a
     from-scratch engine rebuilt at the final occupancy (the acceptance
     bar: churn must not change what descent computes, only how fast).
@@ -393,7 +403,7 @@ def _run_write_churn(params: dict) -> dict:
     inserts = churn_rng.choice(free_pool, size=cycles * per_cycle,
                                replace=False).reshape(cycles, per_cycle)
 
-    def build(mutation: str):
+    def build():
         db = BloomDB.plan(
             namespace_size=namespace,
             accuracy=float(params.get("accuracy", 0.9)),
@@ -402,8 +412,6 @@ def _run_write_churn(params: dict) -> dict:
             tree=params.get("tree", "dynamic"),
             seed=int(params.get("seed", 0)),
             depth=params.get("depth"),
-            plan="compiled",
-            mutation=mutation,
             occupied=occupied,
         )
         for name, ids in sets:
@@ -416,26 +424,40 @@ def _run_write_churn(params: dict) -> dict:
                            seed=1_000 * cycle + i, key=str(i))
                 for i in range(requests)]
 
-    def churn(db):
+    def mutate_engine(db, retire, insert):
+        db.retire_ids(retire)
+        db.insert_ids(insert)
+
+    def mutate_tree(db, retire, insert):
+        # The baseline's write: the engine's tree mutation, no epoch.
+        db.tree.remove_many(np.unique(retire))
+        db.tree.insert_many(np.unique(insert))
+
+    def serve_recompiled(db, specs):
+        # The baseline's read: a fresh engine over the mutated tree
+        # compiles a fresh plan (cold frontier) for the batch.
+        return BloomDB(db.config, params=db.params, family=db.family,
+                       tree=db.tree, store=db.store).sample_many(specs)
+
+    def churn(db, mutate, serve):
         # Warm up outside the timing: serving traffic keeps hitting the
         # same stored sets, so both pipelines start with hot frontier
         # state — the delta pipeline inherits it through every epoch,
         # the invalidate baseline forfeits it at each recompile.
-        db.sample_many([SampleSpec(name, rounds, seed=0, key=name)
-                        for name in names])
+        serve(db, [SampleSpec(name, rounds, seed=0, key=name)
+                   for name in names])
         reports = []
         mutate_s = serve_s = 0.0
         for cycle in range(cycles):
             start = time.perf_counter()
-            db.retire_ids(victims[cycle])
-            db.insert_ids(inserts[cycle])
+            mutate(db, victims[cycle], inserts[cycle])
             mutate_s += time.perf_counter() - start
             # The first post-mutation batch carries the pipeline's whole
             # catch-up cost: the invalidate baseline recompiles the plan
             # and re-walks the frontier cold, the delta pipeline repairs
             # the punched holes and rebuilds descent programs.
             start = time.perf_counter()
-            reports.append(db.sample_many(cycle_specs(cycle)))
+            reports.append(serve(db, cycle_specs(cycle)))
             serve_s += time.perf_counter() - start
         return mutate_s, serve_s, reports
 
@@ -448,12 +470,14 @@ def _run_write_churn(params: dict) -> dict:
     delta_reports = invalidate_reports = None
     delta_db = None
     for _ in range(repeats):
-        delta_db = build("delta")
-        invalidate_db = build("invalidate")
-        mut_s, serve_s, delta_reports = churn(delta_db)
+        delta_db = build()
+        invalidate_db = build()
+        mut_s, serve_s, delta_reports = churn(
+            delta_db, mutate_engine, BloomDB.sample_many)
         if mut_s + serve_s < delta_mut_s + delta_serve_s:
             delta_mut_s, delta_serve_s = mut_s, serve_s
-        mut_s, serve_s, invalidate_reports = churn(invalidate_db)
+        mut_s, serve_s, invalidate_reports = churn(
+            invalidate_db, mutate_tree, serve_recompiled)
         if mut_s + serve_s < invalidate_mut_s + invalidate_serve_s:
             invalidate_mut_s, invalidate_serve_s = mut_s, serve_s
     delta_s = delta_mut_s + delta_serve_s
@@ -465,17 +489,9 @@ def _run_write_churn(params: dict) -> dict:
         for i in range(requests)
     )
 
-    rebuilt = BloomDB.plan(
-        namespace_size=namespace,
-        accuracy=float(params.get("accuracy", 0.9)),
-        set_size=int(params["set_size"]),
-        family=params.get("family", "murmur3"),
-        tree=params.get("tree", "dynamic"),
-        seed=int(params.get("seed", 0)),
-        depth=params.get("depth"),
-        plan="compiled",
-        occupied=np.array(delta_db.occupied),
-    )
+    rebuilt = BloomDB(delta_db.config, params=delta_db.params,
+                      family=delta_db.family,
+                      occupied=np.array(delta_db.occupied))
     for name in names:
         rebuilt.store.install(name, delta_db.filter(name).copy())
     rebuilt_report = rebuilt.sample_many(cycle_specs(cycles - 1))
@@ -608,12 +624,13 @@ def _serving_requests(params: dict, names: list[str]) -> list[tuple]:
 def _run_coldstart(params: dict) -> dict:
     """Serve cold start: mmap'd compiled plan vs. npz object-graph load.
 
-    One engine is saved twice — the classic ``plan="objects"`` layout
-    (compressed npz, node graph rebuilt on load) and the compiled layout
-    (raw ``np.memmap`` buffers, tree materialised lazily).  The timed
-    section is what every serving worker pays on attach:
-    ``BloomDB.load`` + the first seeded sample batch; results are
-    verified identical between the two layouts.
+    One engine is saved twice — the object layout of older releases
+    (compressed npz, node graph rebuilt on load, sampled by the
+    recursive sampler) and the compiled layout (raw ``np.memmap``
+    buffers, tree materialised lazily).  The timed section is what a
+    serving worker pays on attach: ``BloomDB.load`` + the first seeded
+    sample batch; results are verified identical between the two
+    layouts.
     """
     import shutil
     import tempfile
@@ -623,23 +640,25 @@ def _run_coldstart(params: dict) -> dict:
     repeats = max(1, int(params.get("repeats", 3)))
     db, names = build_engine(params)
 
-    def boot(directory):
+    def boot(directory, sample):
         engine = BloomDB.load(directory)
         spec = SampleSpec(names[0], 8, seed=1, key="probe")
-        return engine.sample_many([spec])["probe"].values
+        return sample(engine, [spec])["probe"].values
 
     tmp = tempfile.mkdtemp(prefix="repro-coldstart-")
     try:
         objects_dir = f"{tmp}/objects"
         compiled_dir = f"{tmp}/compiled"
-        db.save(objects_dir)
-        _compiled_twin(db).save(compiled_dir)
+        _save_objects(db, objects_dir)
+        db.save(compiled_dir)
 
         objects_times, compiled_times = [], []
         for _ in range(repeats):
-            seconds, objects_values = _timed(lambda: boot(objects_dir))
+            seconds, objects_values = _timed(
+                lambda: boot(objects_dir, _sample_objects))
             objects_times.append(seconds)
-            seconds, compiled_values = _timed(lambda: boot(compiled_dir))
+            seconds, compiled_values = _timed(
+                lambda: boot(compiled_dir, BloomDB.sample_many))
             compiled_times.append(seconds)
         objects_s = min(objects_times)
         compiled_s = min(compiled_times)
@@ -782,7 +801,7 @@ def _stage_decomposition(histograms: dict) -> dict:
 def _run_serving_multiproc(params: dict) -> dict:
     """Multi-process serving scale-out: 1 vs N worker processes.
 
-    One compiled-plan engine is persisted once; a
+    One engine is persisted once; a
     :class:`~repro.service.procpool.ProcessShardPool` attaches first one
     and then ``workers_high`` worker processes to the *same* promoted
     ``plan.bst`` / ``sets.bst`` snapshot (one physical mmap pool-wide)
@@ -807,12 +826,11 @@ def _run_serving_multiproc(params: dict) -> dict:
     max_delay_ms = float(params.get("max_delay_ms", 2.0))
 
     db, names = build_engine(params)
-    compiled_db = _compiled_twin(db)
     plan = [(names[i % len(names)], i) for i in range(requests)]
     specs = [SampleSpec(name, rounds, seed=seed, key=str(i))
              for i, (name, seed) in enumerate(plan)]
     reference = [encode_result(result) for result
-                 in compiled_db.sample_many(specs).ordered()]
+                 in db.sample_many(specs).ordered()]
 
     def run_pool(directory, workers: int):
         from repro.obs.metrics import export_snapshot
@@ -841,7 +859,7 @@ def _run_serving_multiproc(params: dict) -> dict:
 
     tmp = tempfile.mkdtemp(prefix="repro-multiproc-")
     try:
-        compiled_db.save(tmp)
+        db.save(tmp)
         single_s, single_stages, single_results = run_pool(tmp, 1)
         multi_s, multi_stages, multi_results = run_pool(tmp, workers_high)
     finally:
@@ -903,7 +921,6 @@ def _run_replicated_failover(params: dict) -> dict:
     requests = int(params["requests"])
 
     db, names = build_engine(params)
-    compiled_db = _compiled_twin(db)
     seeds = {name: 4_242 + i for i, name in enumerate(names)}
 
     def sample(pool, name: str, seed: int):
@@ -912,7 +929,7 @@ def _run_replicated_failover(params: dict) -> dict:
 
     tmp = tempfile.mkdtemp(prefix="repro-failover-")
     try:
-        compiled_db.save(tmp)
+        db.save(tmp)
         pool = ProcessShardPool(tmp, workers, heartbeat_s=0.05,
                                 hang_timeout_s=1.0)
         pool.start()
@@ -1037,7 +1054,7 @@ def run_serving(params: dict) -> dict:
     sample_latency: list[float] = []
     tmp = tempfile.mkdtemp(prefix="repro-serving-")
     try:
-        _compiled_twin(db).save(tmp)
+        db.save(tmp)
         pool = ProcessShardPool(tmp, workers, policy=policy)
         pool.start()
         try:

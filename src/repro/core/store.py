@@ -69,9 +69,9 @@ class FilterStore:
         # Guards _filters and the shared sampler stream; re-entrant so
         # compound operations (union_filter inside sample_union) can nest.
         self._lock = threading.RLock()
-        # ``tree`` may also be a zero-arg factory: a compiled-plan engine
-        # (repro.core.plan) defers materialising the object tree until an
-        # operation actually walks it, keeping cold start O(mmap).
+        # ``tree`` may also be a zero-arg factory: a loaded engine builds
+        # the object tree from its compiled plan (repro.core.plan) only
+        # once an operation walks it, keeping cold start O(mmap).
         self._tree_source = tree
         self._tree = None
         self._sampler: BSTSampler | None = None

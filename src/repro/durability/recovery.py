@@ -252,9 +252,8 @@ def open_durable(path, config=None, *, sync: str | None = None,
 
     An existing engine directory is recovered (:func:`recover_engine`);
     otherwise ``config`` seeds a fresh engine whose config is upgraded
-    to ``durability="wal"`` / ``plan="compiled"`` / ``mutation="delta"``
-    and saved, then trivially recovered — creation and recovery share
-    one code path by construction.
+    to ``durability="wal"`` and saved, then trivially recovered —
+    creation and recovery share one code path by construction.
     """
     path = pathlib.Path(path)
     refuse_ring_layout(path)
@@ -263,7 +262,7 @@ def open_durable(path, config=None, *, sync: str | None = None,
     if config is None:
         raise ValueError(f"{path} holds no engine and no config was given")
     config = dataclasses.replace(
-        config, durability="wal", plan="compiled", mutation="delta",
+        config, durability="wal",
         wal_sync=sync if sync is not None else config.wal_sync)
     db = BloomDB(config)
     db.save(path)

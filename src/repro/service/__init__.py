@@ -34,8 +34,8 @@ batches and serves them from worker processes:
   bound.
 
 To embed the tier in Python, persist an engine into a serving directory
-and wrap the pool in the facade (the engine must use
-``plan="compiled"``; workers attach to the compiled artefacts)::
+and wrap the pool in the facade (workers attach to the saved compiled
+artefacts)::
 
     pool = ProcessShardPool.from_engine(db, "serving-dir", workers=2)
     with ProcessService(pool) as service:

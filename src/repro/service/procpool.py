@@ -60,11 +60,12 @@ The coordination protocol, in full:
   delta lands on the queue *before* the results it covers, a scrape
   performed after a client's future resolves always includes that
   request.
-* **Worker death** is detected by the parent's response pumps; in-flight
-  requests on the dead worker fail with :class:`WorkerDiedError` (a 503
-  at the HTTP layer — never a hang), new reads route past it, and the
-  worker is respawned: it reattaches the promoted snapshot and replays
-  its WAL, landing bit-identically on the pre-kill state.
+* **Worker death** is detected by the parent's response pumps; reads
+  in flight on the dead worker are re-sent once to a live one (or fail
+  with :class:`WorkerDiedError`, a 503 at the HTTP layer — never a
+  hang), new reads route past it, and the worker is respawned: it
+  reattaches the promoted snapshot and replays its WAL, landing
+  bit-identically on the pre-kill state.
 * **Hangs** are death the pumps cannot see.  An idle worker posts a
   status message every ``heartbeat_s``, a busy one a message per batch,
   and every message stamps its handle; the
@@ -158,6 +159,11 @@ _ACK_TIMEOUT_S = 10.0
 
 #: Worst shipped-minus-applied record lag ``/readyz`` still calls ready.
 _LAG_THRESHOLD = 1024
+
+#: Largest ``rounds`` one read may ask for: a huge one would hold its
+#: worker past the hang timeout, which shoots it and fails every read
+#: queued behind it.  The engine API stays unbounded.
+MAX_ROUNDS = 4096
 
 #: Read ops a worker process understands (writes stay with the leader).
 _READ_OPS = ("sample", "reconstruct", "contains", "sample_union",
@@ -384,6 +390,8 @@ def _execute_batch(att: _WorkerAttachment, batch: list,
             op = msg["op"]
             if op not in _READ_OPS:
                 raise ValueError(f"worker cannot serve op {op!r}")
+            if not msg["names"]:
+                raise ValueError("request needs at least one set name")
             if op != "sample_union" and op != "sample_intersection":
                 for name in msg["names"]:
                     if name not in db.store:
@@ -583,7 +591,8 @@ class _WorkerHandle:
     worker posts and copies its reported status (``applied_seq``,
     ``epoch``, ``gen``); ``pipe_torn`` is set when a submit finds the
     request queue torn down — routing skips such a worker, and the
-    supervisor kills it so the respawn gets fresh queues.
+    supervisor kills it so the respawn gets fresh queues.  ``awaited``
+    marks a spawn whose death before ready is its caller's error.
     """
 
     def __init__(self, shard_id: int, ctx, queue_depth: int):
@@ -600,6 +609,7 @@ class _WorkerHandle:
         self.epoch = None
         self.gen = None
         self.pipe_torn = False
+        self.awaited = False
 
     def routable(self) -> bool:
         """Attached, pipe intact and alive: can take a read right now."""
@@ -665,7 +675,8 @@ class ProcessShardPool:
         self._ctx = multiprocessing.get_context(start_method)
         self._mutation_lock = threading.RLock()
         self._inflight_lock = threading.Lock()
-        self._inflight: dict[int, tuple[Future, int, float]] = {}
+        # rid -> (future, worker, submitted, message, redispatched)
+        self._inflight: dict[int, tuple] = {}
         self._request_ids = itertools.count()
         self._respawn_lock = threading.Lock()
         self._applied_cond = threading.Condition()
@@ -681,12 +692,6 @@ class ProcessShardPool:
         else:
             self.recovery_report = None
             self.leader = BloomDB.load(self.directory)
-            if self.leader.config.plan != "compiled":
-                raise ValueError(
-                    f"process serving needs a plan=\"compiled\" engine; "
-                    f"{self.directory} was saved with "
-                    f"plan={self.leader.config.plan!r} "
-                    f"(convert it with `repro compile`)")
 
         self._workers: list[_WorkerHandle] = [
             _WorkerHandle(i, self._ctx, self.policy.queue_depth)
@@ -709,11 +714,6 @@ class ProcessShardPool:
     def from_engine(cls, db: BloomDB, directory, workers: int = 4,
                     **kwargs) -> "ProcessShardPool":
         """Persist a live engine into ``directory`` and pool-serve it."""
-        if db.config.plan != "compiled":
-            raise ValueError(
-                "process serving needs plan=\"compiled\" (the workers "
-                "attach to the compiled artefacts via np.memmap); rebuild "
-                "the engine with plan=\"compiled\"")
         db.save(directory)
         return cls(directory, workers, **kwargs)
 
@@ -814,19 +814,25 @@ class ProcessShardPool:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ProcessShardPool":
-        """Spawn every worker, wait until all attached, then supervise."""
+        """Spawn every worker, wait until all attached, then supervise
+        (a worker exiting before it attaches stops the pool and raises)."""
         if self._started:
             return self
         self._stopping = False
-        for handle in self._workers:
-            self._spawn(handle)
-        self._await_ready(self._workers)
+        try:
+            for handle in self._workers:
+                self._spawn(handle, awaited=True)
+            self._await_ready(self._workers)
+        except BaseException:
+            self.stop()
+            raise
         self._started = True
         self.supervisor.start()
         return self
 
-    def _spawn(self, handle: _WorkerHandle) -> None:
+    def _spawn(self, handle: _WorkerHandle, awaited: bool = False) -> None:
         handle.ready.clear()
+        handle.awaited = awaited
         handle.stop_requested = False
         handle.last_heartbeat = time.monotonic()
         policy_args = (self.policy.max_batch, self.policy.max_delay_ms,
@@ -843,23 +849,28 @@ class ProcessShardPool:
         handle.pump.start()
 
     def _await_ready(self, handles) -> None:
+        """Wait until every handle attached; raise once one exits first."""
         deadline = time.monotonic() + _READY_TIMEOUT_S
         for handle in handles:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not handle.ready.wait(remaining):
-                raise RuntimeError(
-                    f"worker {handle.shard_id} failed to attach within "
-                    f"{_READY_TIMEOUT_S:.0f}s")
+            while not handle.ready.wait(_PUMP_POLL_S):
+                if not handle.process.is_alive():
+                    raise RuntimeError(
+                        f"worker {handle.shard_id} exited with code "
+                        f"{handle.process.exitcode} before it attached")
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        f"worker {handle.shard_id} failed to attach within "
+                        f"{_READY_TIMEOUT_S:.0f}s")
 
     def stop(self) -> None:
         """Stop supervision, then drain every worker process (idempotent)."""
-        if not self._started:
-            return
         with self._respawn_lock:  # no respawn starts after this
             self._stopping = True
         self.supervisor.stop()
         for handle in self._workers:
             handle.stop_requested = True
+            if handle.process is None or not handle.process.is_alive():
+                continue
             try:
                 handle.requests.put_nowait(None)
             except (queue.Full, ValueError, OSError):
@@ -908,7 +919,8 @@ class ProcessShardPool:
                 rid, ok, payload = handle.responses.get(timeout=_PUMP_POLL_S)
             except queue.Empty:
                 if handle.process is None or not handle.process.is_alive():
-                    if handle.stop_requested or self._stopping:
+                    if (handle.stop_requested or self._stopping
+                            or handle.awaited):  # the awaiting call raises
                         return
                     self._on_worker_death(handle)
                     return
@@ -922,6 +934,7 @@ class ProcessShardPool:
                 self._absorb(handle, payload)
             elif rid == -1:
                 self._note_status(handle, payload)
+                handle.awaited = False
                 handle.ready.set()
             elif handle.stop_requested or self._stopping:  # -2: drained
                 return
@@ -957,7 +970,7 @@ class ProcessShardPool:
             entry = self._inflight.pop(rid, None)
         if entry is None:
             return
-        future, _, submitted = entry
+        future, _, submitted, _, _ = entry
         if not future.set_running_or_notify_cancel():
             self.metrics.inc("cancelled_total")
             return
@@ -972,21 +985,38 @@ class ProcessShardPool:
             future.set_exception(_WIRE_ERRORS.get(name, RuntimeError)(message))
 
     def _on_worker_death(self, handle: _WorkerHandle) -> None:
-        """Fail the dead worker's in-flight requests, then respawn it.
+        """Re-send the dead worker's in-flight reads, then respawn it.
 
         The respawned process reattaches the promoted snapshot and
         replays its own WAL (see :class:`_WorkerAttachment`), landing on
-        exactly the state the dead worker served.  Requests already
-        routed to the dead worker resolve to :class:`WorkerDiedError`
-        (503) rather than hanging; until the replacement is attached,
-        new reads route to the other workers.
+        exactly the state the dead worker served.  Each read on the dead
+        worker is re-sent once, to whichever worker :meth:`_route` picks
+        now (its seed makes the answer the dead worker's); one with no
+        routable worker left, or re-sent before, resolves to
+        :class:`WorkerDiedError` (503) rather than hanging.  Queueing
+        under the in-flight lock means the next worker's death handler
+        finds the read, or ran first and left that worker unroutable.
         """
         shard = handle.shard_id
+        doomed = []
         with self._inflight_lock:
-            doomed = [rid for rid, (_, s, _) in self._inflight.items()
-                      if s == shard]
-            entries = [self._inflight.pop(rid) for rid in doomed]
-        for future, _, _ in entries:
+            for rid, (future, owner, submitted, msg, resent) in list(
+                    self._inflight.items()):
+                if owner != shard:
+                    continue
+                target = self._route(msg["names"][0])
+                if not resent and self._workers[target].routable():
+                    try:
+                        self._workers[target].requests.put_nowait(msg)
+                    except (queue.Full, OSError, ValueError):
+                        pass
+                    else:
+                        self._inflight[rid] = (future, target, submitted,
+                                               msg, True)
+                        continue
+                del self._inflight[rid]
+                doomed.append(future)
+        for future in doomed:
             if future.set_running_or_notify_cancel():
                 future.set_exception(WorkerDiedError(
                     f"shard {shard} worker process died mid-request; "
@@ -1003,7 +1033,7 @@ class ProcessShardPool:
             self._spawn(replacement)
         self.metrics.inc("worker_restarts")
         _log.warning("worker_respawned", worker=shard,
-                     failed_inflight=len(entries),
+                     failed_inflight=len(doomed),
                      restarts=replacement.restarts)
 
     def kill_worker(self, shard: int) -> int:
@@ -1069,6 +1099,8 @@ class ProcessShardPool:
             raise ValueError(f"{op} needs at least two set names")
         if int(rounds) <= 0:
             raise ValueError("rounds must be positive")
+        if int(rounds) > MAX_ROUNDS:
+            raise ValueError(f"rounds must be at most {MAX_ROUNDS}")
         if int(seed) < 0:
             raise ValueError("seed must be non-negative")
         if not 0 <= int(x) < 1 << 64:
@@ -1083,7 +1115,7 @@ class ProcessShardPool:
                "x": int(x), "exhaustive": bool(exhaustive),
                "t_submit": submitted}
         with self._inflight_lock:
-            self._inflight[rid] = (future, shard, submitted)
+            self._inflight[rid] = (future, shard, submitted, msg, False)
         try:
             if block:
                 handle.requests.put(msg, timeout=timeout)
@@ -1239,7 +1271,8 @@ class ProcessShardPool:
         Promotes a fresh generation first (so the newcomer's log starts
         at the new snapshot), then spawns the worker and rebuilds the
         ring — consistent hashing moves only ~1/(N+1) of the keys.
-        Returns the new worker count.
+        Returns the new worker count; a newcomer that exits before it
+        attaches is removed again, and the call raises.
         """
         from repro.durability.wal import WriteAheadLog
 
@@ -1252,8 +1285,12 @@ class ProcessShardPool:
             self._promote()
             self.ring = ConsistentHashRing(len(self._workers))
             if self._started:
-                self._spawn(handle)
-                self._await_ready([handle])
+                self._spawn(handle, awaited=True)
+                try:
+                    self._await_ready([handle])
+                except BaseException:
+                    self.remove_worker()
+                    raise
         return len(self._workers)
 
     def remove_worker(self) -> int:

@@ -226,6 +226,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="save format"):
             BloomDB.load(path)
 
+    def test_save_writes_the_legacy_engine_keys(self, ids, tmp_path):
+        """Releases that still read ``plan`` / ``mutation`` take a save
+        without them for an object save and look for ``tree.npz``."""
+        import json
+
+        path = make_db().add_set("a", ids).save(tmp_path / "engine")
+        config = json.loads((path / "engine.json").read_text())["config"]
+        assert (config["plan"], config["mutation"]) == ("compiled", "delta")
+        assert sorted(p.name for p in path.iterdir()) == [
+            "engine.json", "plan.bst", "sets.bst"]
+
     def test_dynamic_save_load_keeps_occupancy(self, ids, tmp_path):
         db = make_db("dynamic").add_set("a", ids)
         db.retire_ids(ids[:10])
@@ -255,6 +266,12 @@ class TestIntrospection:
         b = make_db()
         assert a.config == b.config
         assert a.params == b.params
+
+    def test_plan_accepts_and_ignores_the_legacy_knobs(self):
+        legacy = make_db(plan="compiled", mutation="delta")
+        assert legacy.config == make_db().config
+        with pytest.raises(TypeError, match="planner"):
+            make_db(planner="compiled")
 
     def test_sampler_for_is_reproducible(self, ids):
         db = make_db().add_set("a", ids)

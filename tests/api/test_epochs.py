@@ -19,8 +19,7 @@ from repro.core import plan as plan_module
 NAMESPACE = 12_000
 
 
-def build_db(mutation: str = "delta", tree: str = "dynamic",
-             compact_threshold: float = 0.5,
+def build_db(tree: str = "dynamic", compact_threshold: float = 0.5,
              occupied=None, install_from=None) -> BloomDB:
     rng = np.random.default_rng(9)
     if occupied is None:
@@ -28,8 +27,8 @@ def build_db(mutation: str = "delta", tree: str = "dynamic",
                                       replace=False).astype(np.uint64))
     db = BloomDB(EngineConfig(
         namespace_size=NAMESPACE, accuracy=0.9, set_size=200,
-        tree=tree, plan="compiled", mutation=mutation,
-        compact_threshold=compact_threshold, seed=5), occupied=occupied)
+        tree=tree, compact_threshold=compact_threshold, seed=5),
+        occupied=occupied)
     if install_from is not None:
         for name in install_from.names():
             db.store.install(name, install_from.filter(name).copy())
@@ -76,7 +75,7 @@ class TestEpochPublication:
         assert db.current_epoch() is not pinned
 
     def test_mutation_never_recompiles_in_delta_mode(self, monkeypatch):
-        db = build_db(mutation="delta", compact_threshold=10.0)
+        db = build_db(compact_threshold=10.0)
         db.current_epoch()
         calls = []
         original = plan_module.CompiledTree.from_tree.__func__
@@ -92,22 +91,6 @@ class TestEpochPublication:
         assert report.produced > 0
         assert not calls  # sampled through base ⊕ delta, no recompile
 
-    def test_invalidate_mode_recompiles(self, monkeypatch):
-        db = build_db(mutation="invalidate")
-        db.current_epoch()
-        calls = []
-        original = plan_module.CompiledTree.from_tree.__func__
-
-        def counting_from_tree(cls, tree):
-            calls.append(tree)
-            return original(cls, tree)
-
-        monkeypatch.setattr(plan_module.CompiledTree, "from_tree",
-                            classmethod(counting_from_tree))
-        churn(db)
-        db.sample_many(specs())
-        assert len(calls) == 1
-
 
 class TestBitIdentity:
     def test_churned_engine_matches_from_scratch_rebuild(self):
@@ -118,18 +101,6 @@ class TestBitIdentity:
         rebuilt = build_db(occupied=np.array(db.occupied), install_from=db)
         got = db.sample_many(specs(100))
         want = rebuilt.sample_many(specs(100))
-        for i in range(4):
-            assert got[str(i)].values == want[str(i)].values
-            assert got[str(i)].ops == want[str(i)].ops
-
-    def test_delta_and_invalidate_modes_agree(self):
-        delta_db = build_db(mutation="delta")
-        invalidate_db = build_db(mutation="invalidate")
-        for db in (delta_db, invalidate_db):
-            db.current_epoch()
-            churn(db)
-        got = delta_db.sample_many(specs(7))
-        want = invalidate_db.sample_many(specs(7))
         for i in range(4):
             assert got[str(i)].values == want[str(i)].values
             assert got[str(i)].ops == want[str(i)].ops
@@ -215,15 +186,12 @@ class TestConcurrency:
 
 
 class TestConfig:
-    def test_mutation_knob_validation(self):
-        with pytest.raises(ValueError, match="mutation"):
-            EngineConfig(namespace_size=1_000, mutation="nope")
+    def test_compact_threshold_validation(self):
         with pytest.raises(ValueError, match="compact_threshold"):
             EngineConfig(namespace_size=1_000, compact_threshold=0.0)
 
     def test_knobs_roundtrip_through_save(self):
-        config = EngineConfig(namespace_size=1_000, mutation="invalidate",
-                              compact_threshold=0.25)
+        config = EngineConfig(namespace_size=1_000, compact_threshold=0.25)
         assert EngineConfig.from_dict(config.to_dict()) == config
 
 

@@ -84,7 +84,7 @@ class TestBackendEquivalence:
     def test_delta_view_bit_identical(self, family, backend, replacement):
         if backend == "static":
             pytest.skip("static trees take no occupancy mutations")
-        db = build_db(family, backend, plan="compiled", mutation="delta")
+        db = build_db(family, backend)
         db.current_epoch()
         rng = np.random.default_rng(77)
         free = np.setdiff1d(
@@ -150,7 +150,7 @@ class TestNoopCompactKeepsCaches:
                 for i in range(6)]
 
     def test_compact_then_sample_is_bit_equal_and_cached(self):
-        db = build_db("murmur3", "static", plan="compiled")
+        db = build_db("murmur3", "static")
         before = db.sample_many(self.specs())
         warm_hits = RUNTIME.counter("frontier_cache_hits")
         warm_misses = RUNTIME.counter("frontier_cache_misses")
@@ -167,8 +167,7 @@ class TestNoopCompactKeepsCaches:
         assert RUNTIME.counter("frontier_cache_hits") > warm_hits
 
     def test_mutated_compact_still_recompiles(self):
-        db = build_db("murmur3", "dynamic", plan="compiled",
-                      mutation="delta")
+        db = build_db("murmur3", "dynamic")
         db.current_epoch()
         plan_before = db.current_epoch().plan
         db.retire_ids(db.occupied[:10])
@@ -193,8 +192,7 @@ class TestStaleRowRepair:
                 for i in range(6)]
 
     def test_epoch_crossing_repairs_instead_of_missing(self):
-        db = build_db("murmur3", "dynamic", plan="compiled",
-                      mutation="delta")
+        db = build_db("murmur3", "dynamic")
         db.current_epoch()
         db.sample_many(self.specs())  # warm the frontier cache
 
@@ -214,7 +212,7 @@ class TestStaleRowRepair:
 
         rebuilt = BloomDB.plan(
             namespace_size=NAMESPACE, accuracy=0.9, set_size=SET_SIZE,
-            family="murmur3", tree="dynamic", seed=5, plan="compiled",
+            family="murmur3", tree="dynamic", seed=5,
             occupied=np.array(db.occupied))
         for name in db.names():
             rebuilt.store.install(name, db.filter(name).copy())

@@ -182,19 +182,25 @@ class TestEngineIntegration:
         db = build_db("static")
         assert db.compiled_tree() is db.compiled_tree()
 
-    def test_engine_config_plan_key(self):
-        with pytest.raises(ValueError, match="execution plan"):
-            EngineConfig(namespace_size=1000, plan="jit")
-        config = EngineConfig(namespace_size=1000, plan="compiled")
-        assert EngineConfig.from_dict(config.to_dict()) == config
+    def test_engine_config_drops_legacy_keys(self):
+        config = EngineConfig(namespace_size=1000)
+        assert "plan" not in config.to_dict()
+        assert "mutation" not in config.to_dict()
+        for plan, mutation in (("objects", "invalidate"),
+                               ("compiled", "delta"), ("jit", 3)):
+            saved = {**config.to_dict(), "plan": plan, "mutation": mutation}
+            assert EngineConfig.from_dict(saved) == config
+        with pytest.raises(ValueError, match="unknown EngineConfig keys"):
+            EngineConfig.from_dict({**config.to_dict(), "planner": "x"})
+        with pytest.raises(TypeError):
+            EngineConfig(namespace_size=1000, plan="compiled")
 
     def test_compiled_save_load_is_lazy_and_identical(self, tmp_path):
         from repro.api.batch import SampleSpec
 
         db = build_db("static")
         compiled = BloomDB(
-            EngineConfig(**{**db.config.to_dict(), "plan": "compiled"}),
-            params=db.params, family=db.family, tree=db.tree)
+            db.config, params=db.params, family=db.family, tree=db.tree)
         compiled.store.install("s0", db.filter("s0"))
         target = tmp_path / "engine"
         compiled.save(target)
@@ -220,8 +226,7 @@ class TestEngineIntegration:
     def test_compiled_store_copy_on_write(self, tmp_path):
         db = build_db("static")
         compiled = BloomDB(
-            EngineConfig(**{**db.config.to_dict(), "plan": "compiled"}),
-            params=db.params, family=db.family, tree=db.tree)
+            db.config, params=db.params, family=db.family, tree=db.tree)
         compiled.store.install("s0", db.filter("s0"))
         target = tmp_path / "engine"
         compiled.save(target)

@@ -4,15 +4,16 @@ The acceptance bar for the compiled-plan layer: across every hash family
 x tree backend x replacement setting, :func:`repro.core.plan.descend_frontier`
 must produce *bit-for-bit* the same samples — and the same op counts — as
 :meth:`repro.core.sampling.BSTSampler.sample_many` fed the same per-query
-RNG stream, and the engine's ``plan="compiled"`` batched path must match
-the ``plan="objects"`` path spec-for-spec (seeded and shared-stream).
+RNG stream, and the engine's batched path must match the recursive
+sampler spec-for-spec (seeded and shared-stream).
 """
 
 import numpy as np
 import pytest
 
-from repro.api import BloomDB, EngineConfig
+from repro.api import BloomDB
 from repro.api.batch import SampleSpec
+from repro.core.kernels import PositionCache
 from repro.core.plan import CompiledTree, DescentRequest, descend_frontier
 from repro.core.sampling import BSTSampler
 
@@ -24,7 +25,7 @@ FAMILIES = ["simple", "murmur3", "md5"]
 BACKENDS = ["static", "pruned", "dynamic"]
 
 
-def build_db(family: str, tree: str, plan: str = "objects") -> BloomDB:
+def build_db(family: str, tree: str) -> BloomDB:
     rng = np.random.default_rng(11)
     occupied = None
     universe = NAMESPACE
@@ -34,7 +35,7 @@ def build_db(family: str, tree: str, plan: str = "objects") -> BloomDB:
         universe = occupied
     db = BloomDB.plan(
         namespace_size=NAMESPACE, accuracy=0.9, set_size=SET_SIZE,
-        family=family, tree=tree, seed=5, plan=plan, occupied=occupied,
+        family=family, tree=tree, seed=5, occupied=occupied,
     )
     for i in range(NUM_SETS):
         if isinstance(universe, np.ndarray):
@@ -73,28 +74,37 @@ class TestDescendFrontierGolden:
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEnginePlansGolden:
-    def test_seeded_specs_match_objects_plan(self, family, backend):
-        objects_db = build_db(family, backend, plan="objects")
-        compiled_db = build_db(family, backend, plan="compiled")
+    def test_seeded_specs_match_the_recursive_oracle(self, family, backend):
+        db = build_db(family, backend)
         specs = [SampleSpec(f"g{i % NUM_SETS}", 8 + i, seed=100 + i,
                             replacement=bool(i % 2), key=str(i))
                  for i in range(9)]
-        want = objects_db.sample_many(specs)
-        got = compiled_db.sample_many(specs)
-        for i in range(len(specs)):
-            assert want[str(i)].values == got[str(i)].values
-            assert want[str(i)].ops == got[str(i)].ops
+        got = db.sample_many(specs)
+        # The oracle: one seeded recursive sampler per request over one
+        # shared position cache.
+        cache = PositionCache(db.tree)
+        for spec in specs:
+            want = BSTSampler(
+                db.tree, db.config.threshold, np.random.default_rng(spec.seed),
+                db.config.descent).sample_many(
+                    db.filter(spec.name), spec.rounds, spec.replacement,
+                    position_cache=cache)
+            assert want.values == got[spec.key].values
+            assert want.ops == got[spec.key].ops
 
-    def test_shared_stream_batches_match_objects_plan(self, family, backend):
-        # Unseeded requests draw from the engine's shared stream; both
-        # plans must consume it identically, batch after batch.
-        objects_db = build_db(family, backend, plan="objects")
-        compiled_db = build_db(family, backend, plan="compiled")
-        for _ in range(2):
-            want = objects_db.sample_many(r=20)
-            got = compiled_db.sample_many(r=20)
-            assert want.values == got.values
-            assert want.shortfall == got.shortfall
+    def test_shared_stream_batches_match_the_recursive_oracle(self, family,
+                                                              backend):
+        # Unseeded requests draw from the engine's shared stream; the
+        # compiled batch must consume it exactly like the store's
+        # recursive sampler, batch after batch.
+        db = build_db(family, backend)
+        oracle = build_db(family, backend)
+        for replacement in (True, False, True):
+            got = db.sample_many(r=20, replacement=replacement)
+            for name in oracle.names():
+                want = oracle.store.sample_many(name, 20, replacement)
+                assert want.values == got[name].values
+                assert want.ops == got[name].ops
 
 
 class TestBatchSemantics:

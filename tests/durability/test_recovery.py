@@ -91,7 +91,7 @@ def test_rejected_set_write_changes_nothing(tmp_path, tree):
 def test_open_durable_creates_then_recovers(tmp_path):
     db, report = open_durable(tmp_path / "e", _config())
     assert db.config.durability == "wal"
-    assert db.config.plan == "compiled"
+    assert (tmp_path / "e" / "plan.bst").exists()
     assert db.wal is not None
     assert report.records_scanned == 0
     db.wal.close()
@@ -213,7 +213,7 @@ def test_misaligned_log_raises_instead_of_serving_wrong_state(tmp_path):
 
 
 def test_recover_refuses_non_durable_engine(tmp_path):
-    db = BloomDB(_config(plan="compiled", mutation="delta"))
+    db = BloomDB(_config())
     db.save(tmp_path / "plain")
     with pytest.raises(DurabilityError, match="durability"):
         recover_engine(tmp_path / "plain")
@@ -320,8 +320,7 @@ def test_pool_checkpoint_and_graceful_close(tmp_path):
     """Checkpoint while serving, close, reopen: nothing left to replay,
     every log marked clean, and seeded answers unchanged throughout."""
     directory = tmp_path / "durable"
-    db, _ = open_durable(directory, _config(plan="compiled",
-                                            mutation="delta"))
+    db, _ = open_durable(directory, _config())
     db.add_set("s", SET_IDS)
     db.checkpoint()
     db.wal.close()
@@ -354,8 +353,7 @@ def _crashed_pool(directory):
     """A durable 1-worker pool that journalled writes, then died without
     a clean close; returns the seeded answer it acknowledged."""
     pool = ProcessShardPool(directory, 1, durable=True,
-                            config=_config(plan="compiled",
-                                           mutation="delta"))
+                            config=_config())
     with ProcessService(pool) as service:
         service.add_set("late", SET_IDS)
         service.insert_ids(np.arange(2_100, 2_150, dtype=np.uint64))

@@ -35,7 +35,7 @@ NAMESPACE = 8_000
 def engine_config() -> EngineConfig:
     """The engine knobs every pool and reference engine shares."""
     return EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                        set_size=150, seed=5, plan="compiled")
+                        set_size=150, seed=5)
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +82,7 @@ def dynamic_served(tmp_path_factory):
     occupied = np.sort(rng.choice(NAMESPACE, 1_000,
                                   replace=False).astype(np.uint64))
     db = BloomDB.plan(namespace_size=NAMESPACE, accuracy=0.9, set_size=150,
-                      tree="dynamic", plan="compiled", seed=5,
-                      occupied=occupied)
+                      tree="dynamic", seed=5, occupied=occupied)
     db.add_set("alpha", rng.choice(occupied, 150, replace=False))
     directory = tmp_path_factory.mktemp("dynamic") / "engine"
     with serve(db, directory) as server:
@@ -105,8 +104,7 @@ DEADLINE_S = 30.0
 def fault_config() -> EngineConfig:
     """Engine knobs shared by every fault-suite pool and reference."""
     return EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                        set_size=150, seed=5, plan="compiled",
-                        mutation="delta", tree="dynamic")
+                        set_size=150, seed=5, tree="dynamic")
 
 
 @pytest.fixture(scope="session")

@@ -274,16 +274,55 @@ class TestOwnerFailover:
         healed["acked"] = probe(pool, "acked", seed=999)
         assert healed == pre
 
-    def test_inflight_reads_on_a_dying_worker_fail_cleanly(
+    def test_inflight_reads_on_a_dying_worker_are_redispatched(
             self, pool, fault_workload):
         victim = 0
         name = owned_by(pool, fault_workload, victim)[0]
+        want = reference(pool, name, seed=5)
         pid = pool.workers_info()[victim]["pid"]
         os.kill(pid, signal.SIGSTOP)  # hold the read in flight
-        future = pool.submit("sample", (name,), rounds=3, seed=5)
+        future = pool.submit("sample", (name,), rounds=3,
+                             replacement=False, seed=5)
         pool.kill_worker(victim)
-        with pytest.raises(WorkerDiedError):
-            future.result(30)
+        # The read carries its seed, so the next worker on the ring
+        # answers it exactly as the dead one would have.
+        assert future.result(30) == want
+
+    def test_one_worker_pool_fails_inflight_reads_with_a_503(
+            self, engine_dir, fault_workload):
+        pool = ProcessShardPool(engine_dir, 1, heartbeat_s=0.05,
+                                hang_timeout_s=30.0)
+        pool.start()
+        try:
+            os.kill(pool.workers_info()[0]["pid"], signal.SIGSTOP)
+            future = pool.submit("sample", (fault_workload[0][0],),
+                                 rounds=3, seed=5)
+            pool.kill_worker(0)
+            with pytest.raises(WorkerDiedError):
+                future.result(30)
+        finally:
+            pool.close()
+
+    def test_a_read_whose_second_worker_dies_too_gets_a_503(
+            self, engine_dir, fault_workload):
+        pool = ProcessShardPool(engine_dir, 2, heartbeat_s=0.05,
+                                hang_timeout_s=30.0)
+        pool.start()
+        try:
+            name = fault_workload[0][0]
+            owner = pool.shard_of(name)
+            for info in pool.workers_info():
+                os.kill(info["pid"], signal.SIGSTOP)
+            future = pool.submit("sample", (name,), rounds=3, seed=5)
+            pool.kill_worker(owner)
+            # The death handler re-sends the read, then respawns.
+            wait_until(lambda: pool.workers_info()[owner]["restarts"],
+                       message="the owner's death was never handled")
+            pool.kill_worker(1 - owner)
+            with pytest.raises(WorkerDiedError):
+                future.result(30)
+        finally:
+            pool.close()
 
 
 class TestHangDetection:
@@ -308,8 +347,8 @@ class TestHangDetection:
     def test_default_pool_answers_a_stopped_owners_read(self, engine_dir,
                                                         fault_workload):
         """No liveness options: the read parked on a SIGSTOPped owner is
-        answered by another worker within the hang timeout plus one
-        respawn (the 503 it gets when the owner is shot is retried)."""
+        answered by another worker once the supervisor shoots the owner
+        (the read is redispatched, not failed)."""
         pool = ProcessShardPool(engine_dir, 2)
         pool.start()
         try:
@@ -320,12 +359,7 @@ class TestHangDetection:
             started = time.monotonic()
             os.kill(pid, signal.SIGSTOP)
             try:
-                while True:
-                    try:
-                        answer = probe(pool, name)
-                        break
-                    except WorkerDiedError:
-                        time.sleep(0.05)
+                answer = probe(pool, name)
             finally:
                 try:
                     os.kill(pid, signal.SIGCONT)

@@ -104,6 +104,20 @@ class TestErrorMapping:
         assert info.value.status == 400
         assert "rounds must be positive" in str(info.value)
 
+    def test_rounds_above_the_cap_are_400_and_reach_no_worker(
+            self, served, client, workload):
+        from repro.service.procpool import MAX_ROUNDS
+
+        pool = served.client.pool
+        accepted = pool.metrics.export()["counters"].get("requests_total")
+        with pytest.raises(HTTPError) as info:
+            client._request("POST", "/sample",
+                            {"set": workload[0][0], "r": MAX_ROUNDS + 1})
+        assert info.value.status == 400
+        assert f"at most {MAX_ROUNDS}" in str(info.value)
+        assert pool.metrics.export()["counters"].get("requests_total") \
+            == accepted
+
     def test_malformed_json_is_400(self, served):
         request = urllib.request.Request(
             served.url + "/sample", data=b"{nope", method="POST",
@@ -176,7 +190,7 @@ class TestServerLifecycle:
         from repro.__main__ import main
 
         db = BloomDB(EngineConfig(namespace_size=6_000, accuracy=0.9,
-                                  set_size=80, seed=3, plan="compiled"))
+                                  set_size=80, seed=3))
         rng = np.random.default_rng(3)
         for i in range(3):
             db.add_set(f"s{i}", rng.choice(6_000, 80, replace=False))

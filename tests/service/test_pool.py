@@ -68,7 +68,7 @@ def build_db(workload, tree: str) -> BloomDB:
     """A compiled/delta engine over ``tree`` holding the workload."""
     db = BloomDB.from_config(EngineConfig(
         namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
-        plan="compiled", mutation="delta", tree=tree))
+        tree=tree))
     for name, ids in workload:
         db.add_set(name, ids)
     return db
@@ -94,7 +94,7 @@ def pruned_pinned(tmp_path_factory):
     """Two workers over an empty pruned tree; reads pinned by the test."""
     db = BloomDB.from_config(EngineConfig(
         namespace_size=16_000, accuracy=0.9, set_size=100, seed=3,
-        plan="compiled", tree="pruned"))
+        tree="pruned"))
     directory = tmp_path_factory.mktemp("pruned") / "engine"
     pool = start_pinned(db, directory, 2)
     yield pool

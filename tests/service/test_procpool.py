@@ -29,10 +29,10 @@ NAMESPACE = 8_000
 
 
 def build_compiled(workload, tree: str) -> BloomDB:
-    """A compiled/delta engine over ``tree`` holding the workload."""
+    """An engine over ``tree`` holding the workload."""
     db = BloomDB.from_config(EngineConfig(
         namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
-        plan="compiled", mutation="delta", tree=tree))
+        tree=tree))
     for name, ids in workload:
         db.add_set(name, ids)
     return db
@@ -201,19 +201,58 @@ class TestServingDirectoryProtocol:
             pool.close()
 
 
+class TestExecuteBatchFuzz:
+    """Seeded fuzz of the worker's batch executor with well-framed but
+    hostile messages: what reaches a worker if :meth:`submit`'s
+    validation is ever bypassed or wrong."""
+
+    def test_hostile_batches_answer_every_message_once(self, compiled_db):
+        import random
+        from types import SimpleNamespace
+
+        from repro.service.procpool import MAX_ROUNDS, _execute_batch
+
+        rng = random.Random(19)
+        attachment = SimpleNamespace(db=compiled_db)
+        names = compiled_db.names()
+        ops = ["sample", "reconstruct", "contains", "sample_union",
+               "sample_intersection", "insert", "", "SAMPLE"]
+        name_choices = [(), ("",), ("no-such-set",), (names[0],),
+                        tuple(names[:3]), (names[1], "no-such-set")]
+        big = [-1, -(1 << 63), 0, 7, (1 << 64) - 1, 1 << 64, 1 << 80]
+        flags = [True, False, 0, 2, "", "no", None, 0.5]
+        next_id = 0
+        for _ in range(120):
+            batch = []
+            for _ in range(rng.randint(1, 6)):
+                batch.append({
+                    "id": next_id, "op": rng.choice(ops),
+                    "names": rng.choice(name_choices),
+                    "rounds": rng.choice([-3, 0, 1, 5, 64, MAX_ROUNDS]),
+                    "replacement": rng.choice(flags),
+                    "seed": rng.choice(big), "x": rng.choice(big),
+                    "exhaustive": rng.choice(flags)})
+                next_id += 1
+            responses = []
+            _execute_batch(attachment, batch, responses.append)
+            assert sorted(rid for rid, _, _ in responses) == \
+                [msg["id"] for msg in batch]
+            for _, ok, payload in responses:
+                if not ok:
+                    kind, message = payload
+                    assert isinstance(kind, str) and isinstance(message, str)
+
+        responses = []
+        _execute_batch(attachment, [{
+            "id": next_id, "op": "sample", "names": (names[0],),
+            "rounds": 5, "replacement": True, "seed": 7, "x": 0,
+            "exhaustive": False}], responses.append)
+        spec = SampleSpec(names[0], 5, True, seed=7, key="direct")
+        assert responses == [(next_id, True, encode_result(
+            compiled_db.sample_many([spec]).ordered()[0]))]
+
+
 class TestGuardRails:
-    def test_from_engine_rejects_object_plans(self, tmp_path, workload):
-        db = BloomDB(EngineConfig(namespace_size=NAMESPACE, seed=5))
-        with pytest.raises(ValueError, match="compiled"):
-            ProcessShardPool.from_engine(db, tmp_path / "nope")
-
-    def test_load_rejects_object_plan_directories(self, tmp_path):
-        db = BloomDB(EngineConfig(namespace_size=NAMESPACE, seed=5))
-        db.add_set("s", np.arange(10, dtype=np.uint64))
-        db.save(tmp_path / "objects")
-        with pytest.raises(ValueError, match="compiled"):
-            ProcessShardPool(tmp_path / "objects", 2)
-
     def test_invalid_worker_count(self, serving_dir):
         with pytest.raises(ValueError, match="at least one worker"):
             ProcessShardPool(serving_dir, 0)

@@ -28,8 +28,7 @@ PROBE_SEED = 777
 
 def build_db(workload, target_ids):
     config = EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                          set_size=150, seed=5, plan="compiled",
-                          mutation="delta", tree="dynamic")
+                          set_size=150, seed=5, tree="dynamic")
     db = BloomDB.from_config(config)
     for name, ids in workload:
         db.add_set(name, ids)

@@ -2,9 +2,11 @@
 
 The contract under a worker SIGKILL:
 
-* requests in flight on the dead worker fail with a *clean* 503
-  (:class:`WorkerDiedError` → ``ServiceOverloadedError`` → retryable),
-  never a hang or a torn result;
+* reads in flight on the dead worker are re-sent once to a live worker
+  and answered bit-identically; with no live worker left they fail
+  with a *clean* 503 (:class:`WorkerDiedError` →
+  ``ServiceOverloadedError`` → retryable), never a hang or a torn
+  result;
 * new reads of the dead worker's sets route to a live worker, and
   requests on every other worker complete normally;
 * the pool detects the death, respawns the worker, and the replacement
@@ -35,8 +37,7 @@ _RESPAWN_DEADLINE_S = 30.0
 @pytest.fixture()
 def volatile_pool(workload, tmp_path):
     config = EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                          set_size=150, seed=5, plan="compiled",
-                          mutation="delta", tree="dynamic")
+                          set_size=150, seed=5, tree="dynamic")
     db = BloomDB.from_config(config)
     for name, ids in workload:
         db.add_set(name, ids)
@@ -81,7 +82,7 @@ class TestWorkerDeathIsA503:
         assert isinstance(exc, ServiceOverloadedError)
         assert status_for(exc) == 503
 
-    def test_kill_nine_fails_inflight_cleanly_and_reroutes_reads(
+    def test_kill_nine_redispatches_inflight_reads_and_reroutes_new_ones(
             self, volatile_pool, workload):
         pool = volatile_pool
         owners = names_by_shard(pool, workload)
@@ -99,10 +100,9 @@ class TestWorkerDeathIsA503:
         inflight = pool.submit("sample", (victim_name,), rounds=3,
                                replacement=False, seed=4242)
         assert pool.kill_worker(victim_shard) == pid
-        # The read the dead worker held fails with the retryable 503 —
-        # never a hang, never a torn result.
-        with pytest.raises(WorkerDiedError):
-            inflight.result(60)
+        # The read the dead worker held is answered by the other worker,
+        # bit for bit — never a hang, never a torn result.
+        assert inflight.result(60) == want_victim
 
         # Its set keeps answering, bit for bit, from the other worker
         # while the victim respawns; the sibling's own sets too.
@@ -133,6 +133,38 @@ class TestWorkerDeathIsA503:
         pool.kill_worker(shard)
         wait_for_respawn(pool, shard, restarts_before)
         assert probe(pool, "post-promotion", seed=31337) == want
+
+
+class TestFailedStart:
+    def test_worker_dying_before_it_attaches_fails_start_at_once(
+            self, workload, tmp_path):
+        """A worker that exits before it attaches is not respawned:
+        start() raises at once, naming it and its exit code, and leaves
+        no worker process or pump thread (it used to wait out the whole
+        ready timeout while the pump respawned the worker in a loop that
+        outlived stop() and close())."""
+        db = BloomDB.from_config(EngineConfig(
+            namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
+            tree="dynamic"))
+        for name, ids in workload:
+            db.add_set(name, ids)
+        pool = ProcessShardPool.from_engine(db, tmp_path / "engine", 1)
+        (tmp_path / "engine" / "plan.g000000.bst").unlink()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match="worker 0 exited with code 1 before it "
+                                 "attached"):
+            pool.start()
+        assert time.monotonic() - started < _RESPAWN_DEADLINE_S
+        pool.stop()
+        pool.close()
+        time.sleep(0.3)  # a respawn would have been spawned by now
+        handle = pool._workers[0]
+        assert handle.restarts == 0
+        assert not handle.process.is_alive()
+        assert not handle.pump.is_alive()
+        assert pool.metrics.export()["counters"].get(
+            "worker_restarts", {}) == {}
 
 
 class TestDurableDeathAndRecovery:

@@ -25,8 +25,7 @@ _RESPAWN_DEADLINE_S = 30.0
 @pytest.fixture()
 def pool(workload, tmp_path):
     config = EngineConfig(namespace_size=NAMESPACE, accuracy=0.9,
-                          set_size=150, seed=5, plan="compiled",
-                          mutation="delta", tree="dynamic")
+                          set_size=150, seed=5, tree="dynamic")
     db = BloomDB.from_config(config)
     for name, ids in workload:
         db.add_set(name, ids)

@@ -90,34 +90,69 @@ class TestReconstruct:
         assert "100/100 of the true set recovered" in out
 
 
-class TestCompile:
-    def test_compile_then_reload_and_sample(self, tmp_path, capsys):
-        db_dir = str(tmp_path / "engine")
-        main(["sample", "-M", "5000", "-n", "100", "--save-db", db_dir])
+def save_object_layout(db, directory):
+    """Save ``db`` the way releases with an object plan did: the config
+    carries ``"plan": "objects"``, the tree and filters are npz files."""
+    import json
+
+    from repro.core.serialization import save_tree
+
+    directory.mkdir(parents=True)
+    config = {**db.config.to_dict(), "plan": "objects", "mutation": "delta"}
+    (directory / "engine.json").write_text(
+        json.dumps({"format": 1, "config": config}, indent=2))
+    save_tree(db.tree, directory / "tree.npz")
+    db.store.save(directory / "sets.npz")
+
+
+class TestSavedEngines:
+    def test_demo_save_is_served_by_sample_and_serve(self, tmp_path,
+                                                      capsys):
+        db_dir = tmp_path / "engine"
+        assert main(["demo", "-M", "5000", "-n", "100",
+                     "--save-db", str(db_dir)]) == 0
+        assert sorted(p.name for p in db_dir.iterdir()) == [
+            "engine.json", "plan.bst", "sets.bst"]
         capsys.readouterr()
-        assert main(["compile", "--db", db_dir]) == 0
-        out = capsys.readouterr().out
-        assert "compiled" in out and "plan.bst" in out
-        assert (tmp_path / "engine" / "plan.bst").exists()
-        assert (tmp_path / "engine" / "sets.bst").exists()
-        # The flipped engine.json loads through the compiled path and
-        # still serves samples.
-        assert main(["sample", "--db", db_dir, "-r", "3"]) == 0
+        assert main(["sample", "--db", str(db_dir), "-r", "3"]) == 0
         assert "3 samples from 'hidden'" in capsys.readouterr().out
+        assert main(["serve", "--workers", "1", "--smoke", "--requests",
+                     "20", "--db", str(db_dir)]) == 0
+        for command in ("sample", "serve"):
+            with pytest.raises(SystemExit, match="no saved engine"):
+                main([command, "--db", str(tmp_path / "nope")])
 
-    def test_second_compile_is_a_noop_without_force(self, tmp_path, capsys):
-        db_dir = str(tmp_path / "engine")
-        main(["sample", "-M", "5000", "-n", "100", "--save-db", db_dir])
-        main(["compile", "--db", db_dir])
-        capsys.readouterr()
-        assert main(["compile", "--db", db_dir]) == 0
-        assert "already holds a compiled plan" in capsys.readouterr().out
-        assert main(["compile", "--db", db_dir, "--force"]) == 0
-        assert "compiled" in capsys.readouterr().out
+    def test_object_layout_save_loads_answers_like_the_oracle_and_serves(
+            self, tmp_path):
+        import numpy as np
 
-    def test_missing_engine_dir(self, tmp_path):
-        with pytest.raises(SystemExit, match="no saved engine"):
-            main(["compile", "--db", str(tmp_path / "nope")])
+        from repro.api import BloomDB, SampleSpec
+        from repro.core.sampling import BSTSampler
+
+        rng = np.random.default_rng(4)
+        occupied = rng.choice(6_000, 1_500, replace=False).astype(np.uint64)
+        db = BloomDB.plan(namespace_size=6_000, set_size=100, seed=3,
+                          tree="dynamic", occupied=occupied)
+        for i in range(2):
+            db.add_set(f"s{i}", rng.choice(occupied, 100, replace=False))
+        db_dir = tmp_path / "objects"
+        save_object_layout(db, db_dir)
+
+        loaded = BloomDB.load(db_dir)
+        specs = [SampleSpec(f"s{i % 2}", 6 + i, bool(i % 3), seed=50 + i,
+                            key=str(i)) for i in range(6)]
+        got = loaded.sample_many(specs)
+        for spec in specs:
+            want = BSTSampler(db.tree, db.config.threshold,
+                              np.random.default_rng(spec.seed),
+                              db.config.descent).sample_many(
+                db.filter(spec.name), spec.rounds, spec.replacement)
+            assert want.values == got[spec.key].values
+            assert want.ops == got[spec.key].ops
+        assert not (db_dir / "plan.bst").exists()
+        assert main(["serve", "--workers", "1", "--smoke", "--requests",
+                     "20", "--db", str(db_dir)]) == 0
+        assert (db_dir / "plan.bst").exists()
 
 
 class TestParser:
@@ -128,6 +163,13 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_compile_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compile", "--db", "engine"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "compile" not in capsys.readouterr().out
 
 
 class TestServeAndRecover:
