@@ -2,7 +2,7 @@
 """Choosing a hash family: speed, invertibility and structural hazards.
 
 Reproduces the Fig. 7 story in miniature and demonstrates two findings
-from this reproduction (DESIGN.md):
+from this reproduction (``docs/algorithms.md``, "Known deviations"):
 
 1. DictionaryAttack pays namespace-wide hashing, so expensive families
    (MD5) hurt it an order of magnitude more than the BloomSampleTree.

@@ -7,10 +7,6 @@ Commands
     Resolve BloomSampleTree parameters (m, depth, M_perp, memory) from a
     namespace, set size and desired accuracy — the Section 5.4 planner.
 
-``paper-tables``
-    Print the reproduction of the paper's Tables 2 and 3 (parameter
-    choices), with the paper's own m values for comparison.
-
 ``demo``
     A miniature end-to-end run through the :class:`~repro.api.BloomDB`
     facade: plan an engine, store a random set, sample from it and
@@ -26,10 +22,12 @@ Commands
 
 ``bench``
     Run the benchmark harness (:mod:`repro.bench`): cached, scenario-based
-    timing of the vectorized sampling/reconstruction kernels, emitting
-    ``BENCH_sampling.json``, ``BENCH_reconstruction.json`` and
-    ``BENCH_serving.json`` (plus a ``BENCH_history.json`` trajectory
-    entry per run).
+    runs of the paper's tables, figures and ablations (with a verdict on
+    each claim they back) and timing of the vectorized kernels and the
+    serving pool, emitting one ``BENCH_<kind>.json`` per scenario kind
+    (plus a ``BENCH_history.json`` trajectory entry per measuring run).
+    ``--quick --scenario paper_table2_table3_parameters`` prints the
+    reproduction of the paper's Tables 2 and 3.
 
 ``serve``
     Boot the serving subsystem (:mod:`repro.service`): ``--workers N``
@@ -77,20 +75,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"leaf capacity M_perp: {params.leaf_capacity}")
     print(f"tree nodes         : {params.num_nodes}")
     print(f"tree memory        : {params.memory_mb:.3f} MB")
-    return 0
-
-
-def _cmd_paper_tables(args: argparse.Namespace) -> int:
-    from repro.experiments.formatting import format_rows
-    from repro.experiments.tables import parameter_rows
-
-    columns = ["accuracy", "m", "depth", "M_perp", "memory_mb", "paper_m",
-               "m_ratio"]
-    print(format_rows(parameter_rows(1_000_000), columns,
-                      title="Table 2 (n=1e3, M=1e6)"))
-    print()
-    print(format_rows(parameter_rows(10_000_000), columns,
-                      title="Table 3 (n=1e3, M=1e7)"))
     return 0
 
 
@@ -236,7 +220,11 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.bench.runner import HISTORY_FILE, load_history
+    from repro.bench.runner import (
+        HISTORY_FILE,
+        HISTORY_KEY_PREFIXES,
+        load_history,
+    )
 
     path = pathlib.Path(args.output_dir) / HISTORY_FILE
     if not path.exists():
@@ -255,7 +243,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     for run_ix, run in enumerate(runs):
         for scenario, summary in run["scenarios"].items():
             for key, value in summary.items():
-                if not key.startswith(("speedup_", "throughput_")):
+                if not key.startswith(HISTORY_KEY_PREFIXES):
                     continue
                 cells = trajectories.setdefault(
                     (scenario, key), ["-"] * len(runs))
@@ -270,7 +258,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         for run_ix, run in enumerate(runs):
             for scenario in sorted(run["scenarios"]):
                 for key, value in sorted(run["scenarios"][scenario].items()):
-                    if key.startswith(("speedup_", "throughput_")):
+                    if key.startswith(HISTORY_KEY_PREFIXES):
                         lines.append(
                             f"{run_ix},{run.get('generated_at', '')},"
                             f"{run['version']},{run['mode']},"
@@ -297,16 +285,18 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import BENCH_FILES, SCENARIOS, BenchRunner
-    from repro.bench.scenarios import scenario_names
+    from repro.bench import BENCH_FILES, BenchRunner
+    from repro.bench.scenarios import SCENARIOS
+    from repro.experiments.formatting import format_rows
 
     if args.compare:
         return _cmd_bench_compare(args)
     if args.list:
-        for name in scenario_names():
+        width = max(map(len, SCENARIOS))
+        for name in sorted(SCENARIOS):
             scenario = SCENARIOS[name]
-            print(f"{name:26s} [{scenario.kind}] {scenario.title}")
-            print(f"{'':26s} maps to: {scenario.maps_to}")
+            print(f"{name:{width}s} [{scenario.kind}] {scenario.title}")
+            print(f"{'':{width}s} maps to: {scenario.maps_to}")
         return 0
 
     names = args.scenario or None
@@ -336,6 +326,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     line += f"  {what} {result[key]}x vs {against}"
                     break
             print(line)
+            for table in result.get("tables", ()):
+                print("\n" + format_rows(table["rows"], table["columns"],
+                                         title=table["title"]) + "\n")
+            for claim, verdict in result.get("claims", {}).items():
+                print(f"    {claim}: "
+                      f"{'holds' if verdict['holds'] else 'FAILS'}"
+                      f"{'' if verdict['gated'] else ' (not gated)'}")
         path = runner.output_dir / BENCH_FILES[kind]
         print(f"  -> {path}")
     print(f"  history -> {runner.output_dir / 'BENCH_history.json'}")
@@ -679,10 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--cost-ratio", type=float, default=None)
     plan.set_defaults(func=_cmd_plan)
 
-    tables = sub.add_parser("paper-tables",
-                            help="print the Tables 2/3 reproduction")
-    tables.set_defaults(func=_cmd_paper_tables)
-
     demo = sub.add_parser("demo", help="tiny end-to-end demonstration")
     _add_engine_args(demo)
     demo.set_defaults(func=_cmd_demo)
@@ -777,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the cached benchmark harness (repro.bench)")
     bench.add_argument("--quick", action="store_true",
-                       help="smoke scale: seconds instead of minutes")
+                       help="smoke scale: minutes instead of hours")
     bench.add_argument("--scenario", action="append", default=None,
                        metavar="NAME",
                        help="run only this scenario (repeatable; "

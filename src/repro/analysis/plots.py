@@ -2,8 +2,8 @@
 
 The benchmark harness reports each paper figure as rows; this module
 turns those rows into terminal-friendly charts so the *shape* of a
-figure (who wins, where lines cross) is visible directly in
-``benchmarks/results/*.txt`` without a plotting stack.
+figure (who wins, where lines cross) is visible directly in a terminal
+without a plotting stack.
 
 Only two chart types are needed: multi-series line charts (every paper
 figure is one) and horizontal bar charts (handy for ablations).

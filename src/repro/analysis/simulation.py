@@ -7,8 +7,8 @@ distribution of a sampler and compares it with that proportional ideal,
 yielding the per-leaf ratio spread that the theory says contracts to 1
 as ``m`` grows.
 
-Used by ``benchmarks/bench_prop52_sample_quality.py`` and the analysis
-tests.
+Used by the ``paper_prop52_sample_quality`` benchmark scenario and the
+analysis tests.
 """
 
 from __future__ import annotations

@@ -85,7 +85,8 @@ def total_variation_distance(observed: np.ndarray) -> float:
     *test* (which answers "can uniformity be rejected?" and saturates at
     p=0 once any element starves), TV *measures how far* a distribution
     is from uniform — the right scale for comparing samplers in the
-    estimator's noise-limited regime (DESIGN.md section 7a).
+    estimator's noise-limited regime (see the estimator noise floor in
+    ``docs/algorithms.md``, "Known deviations").
     """
     observed = np.asarray(observed, dtype=np.float64)
     if observed.ndim != 1 or observed.size < 2:

@@ -1,15 +1,13 @@
-"""First-class benchmark harness for the vectorized kernels.
+"""The one benchmark harness: the paper's evaluation and the perf gates.
 
-The paper's headline results are throughput numbers (sampling and
-reconstruction time vs. brute force, Figs. 3-15); this package turns them
-into numbers CI can watch.  It drives the scenarios the ``benchmarks/``
-suite explores — but through the :class:`~repro.api.BloomDB` facade and
-the :mod:`repro.core.kernels` fast paths — and emits machine-readable
-``BENCH_sampling.json`` / ``BENCH_reconstruction.json`` /
-``BENCH_serving.json`` files at the repo root, with a JSON result cache
-so re-runs are free (the cached ``ExperimentEngine`` pattern of
-trolando/rtl-experiments).  Every run also appends a compact entry to
-``BENCH_history.json``, the cross-PR perf trajectory.
+Its scenario registry holds the paper's tables, figures and ablations
+(kind ``paper``, each with a verdict per claim) next to the kernel and
+serving scenarios that time the :class:`~repro.api.BloomDB` facade and
+its fast paths.  The runner emits one machine-readable
+``BENCH_<kind>.json`` per kind at the repo root, with a JSON result
+cache keyed on the parameters and the package source (the cached
+``ExperimentEngine`` pattern of trolando/rtl-experiments), and appends
+each measuring run to ``BENCH_history.json``, the cross-PR trajectory.
 
 Entry points: the ``repro bench`` CLI subcommand, or::
 
@@ -20,6 +18,7 @@ Entry points: the ``repro bench`` CLI subcommand, or::
 from repro.bench.runner import (
     BENCH_FILES,
     HISTORY_FILE,
+    HISTORY_KEY_PREFIXES,
     HISTORY_SCHEMA,
     SCHEMA_VERSION,
     BenchRunner,
@@ -32,6 +31,7 @@ from repro.bench.scenarios import SCENARIOS, Scenario, get_scenario
 __all__ = [
     "BENCH_FILES",
     "HISTORY_FILE",
+    "HISTORY_KEY_PREFIXES",
     "HISTORY_SCHEMA",
     "SCHEMA_VERSION",
     "BenchRunner",

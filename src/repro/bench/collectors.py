@@ -1,6 +1,6 @@
-"""Benchmark collectors: timing + op-count measurement per scenario kind.
+"""Benchmark collectors: timing + op-count measurement per workload.
 
-Two collectors, one per emitted ``BENCH_*.json`` file:
+Every :class:`~repro.bench.scenarios.Scenario` names its collector:
 
 * :func:`run_sampling` — measures the batched sampling path
   (:meth:`repro.api.BloomDB.sample_many`, one shared pass over the tree)
@@ -11,6 +11,8 @@ Two collectors, one per emitted ``BENCH_*.json`` file:
   reconstruction (:meth:`repro.api.BloomDB.reconstruct_all`) against the
   sequential per-set loop, verifying along the way that both recover
   identical elements.
+* the ``run_*`` functions below them, one per remaining workload, and
+  the paper's tables and figures in :mod:`repro.bench.paper`.
 
 Collectors return plain JSON-able dicts; the runner owns caching and
 file emission.  Every engine is built through the BloomDB facade so the
@@ -22,11 +24,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from repro.api import BloomDB
+from repro.api import BloomDB, EngineConfig
+from repro.api.batch import SampleSpec
 from repro.core import kernels
 from repro.core.kernels import PositionCache
 from repro.core.serialization import save_tree
@@ -126,14 +132,6 @@ def _loop_sample(db, names, queries: int) -> float:
 
 def run_sampling(params: dict) -> dict:
     """Measure batched vs. looped sampling; returns a JSON-able result."""
-    if "families" in params:
-        return _run_sampling_families(params)
-    if params.get("compare_plan"):
-        return _run_descent_compiled(params)
-    if params.get("descent_coldstart"):
-        return _run_descent_coldstart(params)
-    if params.get("write_churn"):
-        return _run_write_churn(params)
     db, names = build_engine(params)
     queries = int(params["queries"])
     per_set, extra = divmod(queries, len(names))
@@ -180,7 +178,7 @@ def run_sampling(params: dict) -> dict:
     return result
 
 
-def _run_sampling_families(params: dict) -> dict:
+def run_sampling_families(params: dict) -> dict:
     """Per-hash-family kernels: batched hashing + batched sampling."""
     hash_batch = int(params["hash_batch"])
     queries = int(params["queries"])
@@ -211,7 +209,7 @@ def _run_sampling_families(params: dict) -> dict:
     return {"queries": queries, "families": families}
 
 
-def _run_descent_compiled(params: dict) -> dict:
+def run_descent_compiled(params: dict) -> dict:
     """Compiled flat-array descent vs. the recursive object-graph sampler.
 
     Both engines share one tree and serve the *same* seeded request plan
@@ -223,9 +221,6 @@ def _run_descent_compiled(params: dict) -> dict:
     speedup is the warm one under the default backend, with the NumPy
     reference always reported alongside.
     """
-    from dataclasses import replace
-
-    from repro.api.batch import SampleSpec
     from repro.core import native
 
     db, names = build_engine(params)
@@ -296,7 +291,7 @@ def _run_descent_compiled(params: dict) -> dict:
     }
 
 
-def _run_descent_coldstart(params: dict) -> dict:
+def run_descent_coldstart(params: dict) -> dict:
     """Attach-to-first-batch latency of the compiled descent path.
 
     The serving cold path measured on its own (``coldstart_mmap`` buries
@@ -308,11 +303,6 @@ def _run_descent_coldstart(params: dict) -> dict:
     before any frontier cache is warm.  Results are verified
     bit-identical between layouts.
     """
-    import shutil
-    import tempfile
-
-    from repro.api.batch import SampleSpec
-
     repeats = max(1, int(params.get("repeats", 3)))
     rounds = int(params.get("rounds", 32))
     requests = int(params.get("requests", 32))
@@ -370,7 +360,7 @@ def _run_descent_coldstart(params: dict) -> dict:
     }
 
 
-def _run_write_churn(params: dict) -> dict:
+def run_write_churn(params: dict) -> dict:
     """Compiled sampling under id churn: delta overlay vs. invalidate.
 
     Two identically-built engines absorb the same deterministic churn
@@ -383,8 +373,6 @@ def _run_write_churn(params: dict) -> dict:
     from-scratch engine rebuilt at the final occupancy (the acceptance
     bar: churn must not change what descent computes, only how fast).
     """
-    from repro.api.batch import SampleSpec
-
     namespace = int(params["namespace"])
     occupied, sets = build_workload(params)
     names = [name for name, _ in sets]
@@ -621,7 +609,7 @@ def _serving_requests(params: dict, names: list[str]) -> list[tuple]:
     return plan
 
 
-def _run_coldstart(params: dict) -> dict:
+def run_coldstart(params: dict) -> dict:
     """Serve cold start: mmap'd compiled plan vs. npz object-graph load.
 
     One engine is saved twice — the object layout of older releases
@@ -632,11 +620,6 @@ def _run_coldstart(params: dict) -> dict:
     sample batch; results are verified identical between the two
     layouts.
     """
-    import shutil
-    import tempfile
-
-    from repro.api.batch import SampleSpec
-
     repeats = max(1, int(params.get("repeats", 3)))
     db, names = build_engine(params)
 
@@ -674,7 +657,7 @@ def _run_coldstart(params: dict) -> dict:
     }
 
 
-def _run_coldstart_recovery(params: dict) -> dict:
+def run_coldstart_recovery(params: dict) -> dict:
     """Crash-recovery cold start: snapshot load + WAL replay under churn.
 
     Builds a durable engine whose sets travel in a checkpointed
@@ -686,11 +669,6 @@ def _run_coldstart_recovery(params: dict) -> dict:
     seeded probe draw and the published epoch must match the pre-crash
     engine bit-for-bit.
     """
-    import shutil
-    import tempfile
-
-    from repro.api import EngineConfig
-    from repro.api.batch import SampleSpec
     from repro.durability import open_durable, recover_engine
 
     repeats = max(1, int(params.get("repeats", 3)))
@@ -798,7 +776,7 @@ def _stage_decomposition(histograms: dict) -> dict:
     return stages
 
 
-def _run_serving_multiproc(params: dict) -> dict:
+def run_serving_multiproc(params: dict) -> dict:
     """Multi-process serving scale-out: 1 vs N worker processes.
 
     One engine is persisted once; a
@@ -811,10 +789,6 @@ def _run_serving_multiproc(params: dict) -> dict:
     *and* operation counters) must match a direct
     :meth:`~repro.api.BloomDB.sample_many` call with the same seeds.
     """
-    import shutil
-    import tempfile
-
-    from repro.api.batch import SampleSpec
     from repro.service import BatchPolicy
     from repro.service.client import encode_result
     from repro.service.procpool import ProcessShardPool
@@ -895,7 +869,7 @@ def _run_serving_multiproc(params: dict) -> dict:
     }
 
 
-def _run_replicated_failover(params: dict) -> dict:
+def run_replicated_failover(params: dict) -> dict:
     """Failover drill: ``kill -9`` a worker under read traffic.
 
     A :class:`~repro.service.procpool.ProcessShardPool` serves seeded
@@ -911,9 +885,6 @@ def _run_replicated_failover(params: dict) -> dict:
     worker served it during the outage or its owner after the heal,
     must be byte-equal to its pre-kill value.
     """
-    import shutil
-    import tempfile
-
     from repro.service import ProcessShardPool, ServiceOverloadedError
 
     rounds = int(params.get("rounds", 8))
@@ -1013,21 +984,9 @@ def run_serving(params: dict) -> dict:
     futures.  Per-request results are verified bit-identical between
     the two.
     """
-    import shutil
-    import tempfile
-
     from repro.obs.metrics import diff_exports, export_snapshot
     from repro.service import BatchPolicy
     from repro.service.procpool import ProcessShardPool
-
-    if params.get("coldstart"):
-        return _run_coldstart(params)
-    if params.get("coldstart_recovery"):
-        return _run_coldstart_recovery(params)
-    if params.get("multiproc"):
-        return _run_serving_multiproc(params)
-    if params.get("replicated_failover"):
-        return _run_replicated_failover(params)
 
     db, names = build_engine(params)
     plan = _serving_requests(params, names)
@@ -1128,11 +1087,3 @@ def run_serving(params: dict) -> dict:
         },
         "speedup_coalesced_vs_naive": round(naive_s / coalesced_s, 2),
     }
-
-
-#: Collector dispatch by scenario kind.
-COLLECTORS = {
-    "sampling": run_sampling,
-    "reconstruction": run_reconstruction,
-    "serving": run_serving,
-}

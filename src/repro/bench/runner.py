@@ -2,24 +2,24 @@
 
 Modeled on the cached ``ExperimentEngine`` of trolando/rtl-experiments:
 each (scenario, scale) pair owns one JSON file in the cache directory,
-keyed by a fingerprint of the scenario's parameters.  A run first
-consults the cache — a hit is served instantly, a miss (or ``--force``,
-or a parameter edit, which changes the fingerprint) executes the
-collector and stores the result.  Aggregated payloads are then written to
-``BENCH_sampling.json`` and ``BENCH_reconstruction.json`` in the output
-directory (the repo root, by default), which is what CI uploads and what
-later PRs are judged against.
+keyed by a fingerprint of the scenario's parameters and of the package
+source.  A run first consults the cache — a hit is served instantly, a
+miss (or ``--force``, or a parameter or code edit, which changes the
+fingerprint) calls the scenario's collector and stores the result.
+Aggregated payloads are then written to one ``BENCH_<kind>.json`` per
+scenario kind in the output directory (the repo root, by default), which
+is what CI uploads and what later PRs are judged against.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
 import time
 
 import repro
-from repro.bench.collectors import COLLECTORS
 from repro.bench.scenarios import KINDS, SCENARIOS, Scenario, get_scenario
 
 #: Version of the emitted BENCH_*.json schema.
@@ -38,8 +38,8 @@ HISTORY_FILE = "BENCH_history.json"
 HISTORY_SCHEMA = 1
 
 #: Top-level result keys copied into each history entry (the headline
-#: numbers a later PR compares against).
-_HISTORY_KEY_PREFIXES = ("speedup_", "throughput_")
+#: numbers a later PR compares against, and ``--compare`` tabulates).
+HISTORY_KEY_PREFIXES = ("speedup_", "throughput_")
 
 
 def atomic_write_json(path, obj, *, trailing_newline: bool = True) -> None:
@@ -71,18 +71,29 @@ def atomic_write_json(path, obj, *, trailing_newline: bool = True) -> None:
                 pass
 
 
-def _fingerprint(scenario: Scenario, quick: bool) -> str:
-    """Cache key: parameters + schema + library version, order-independent.
+@functools.lru_cache(maxsize=None)
+def _source_hash() -> str:
+    """SHA-256 over the path and bytes of every ``repro/**/*.py`` file."""
+    root = pathlib.Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
-    The library version is included so a release that changes the kernels
-    invalidates cached measurements — the emitted files are the perf
-    baseline later PRs are judged against, and must never silently carry
-    numbers from older code.
+
+def _fingerprint(scenario: Scenario, quick: bool) -> str:
+    """Cache key: parameters + schema + package source, order-independent.
+
+    The source hash is included so any change to the code a collector
+    runs invalidates its cached measurements — the emitted files are the
+    perf baseline later PRs are judged against, and must never silently
+    carry numbers from older code.
     """
     blob = json.dumps(
         {
             "schema": SCHEMA_VERSION,
-            "version": repro.__version__,
+            "source": _source_hash(),
             "kind": scenario.kind,
             "params": scenario.params(quick),
         },
@@ -142,9 +153,8 @@ class BenchRunner:
             entry = dict(cached)
             entry["cached"] = True
             return entry
-        collector = COLLECTORS[scenario.kind]
         start = time.perf_counter()
-        result = collector(scenario.params(self.quick))
+        result = scenario.collector(scenario.params(self.quick))
         elapsed = time.perf_counter() - start
         entry = {
             "fingerprint": _fingerprint(scenario, self.quick),
@@ -202,7 +212,9 @@ class BenchRunner:
         a compact entry (version, mode, per-scenario headline speedups /
         throughputs and elapsed times), so a perf regression shows up as
         a visible drop between consecutive entries instead of silently
-        overwriting the only copy of the previous numbers.
+        overwriting the only copy of the previous numbers.  Cached
+        results are older runs' numbers: they are left out, and a run
+        served wholly from the cache appends nothing.
         """
         entry = {
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -212,15 +224,16 @@ class BenchRunner:
         }
         for kind, payload in sorted(by_kind.items()):
             for name, scenario_entry in payload["scenarios"].items():
-                summary = {
-                    "kind": kind,
-                    "cached": scenario_entry["cached"],
-                    "elapsed_s": scenario_entry["elapsed_s"],
-                }
+                if scenario_entry["cached"]:
+                    continue
+                summary = {"kind": kind,
+                           "elapsed_s": scenario_entry["elapsed_s"]}
                 for key, value in scenario_entry["result"].items():
-                    if key.startswith(_HISTORY_KEY_PREFIXES):
+                    if key.startswith(HISTORY_KEY_PREFIXES):
                         summary[key] = value
                 entry["scenarios"][name] = summary
+        if not entry["scenarios"]:
+            return
         path = self.output_dir / HISTORY_FILE
         history = load_history(path)
         history["runs"].append(entry)

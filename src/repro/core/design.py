@@ -14,8 +14,8 @@ Section 5.4 of the paper determines the two free parameters of the system:
 
 Solving the accuracy model reproduces the paper's Tables 2 and 3 ``m``
 values to within 0.1% — including the "accuracy 1.0" rows, which correspond
-to an effective target of 0.99 (see DESIGN.md), hence the ``max_accuracy``
-cap below.
+to an effective target of 0.99 (see ``docs/algorithms.md``, "Known
+deviations"), hence the ``max_accuracy`` cap below.
 
 The cost ratio can be supplied explicitly, modelled analytically
 (an intersection touches ``m/64`` words; a membership query touches ``k``)

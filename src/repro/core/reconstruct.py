@@ -43,8 +43,9 @@ class BSTReconstructor:
     :class:`~repro.core.pruned.PrunedBloomSampleTree` is only the occupied
     ids — usually still far cheaper than a namespace-wide attack).
     Estimator-guided pruning (the default) can miss elements whose
-    per-subtree signal sits below the estimator noise floor; see DESIGN.md
-    for the trade-off measurements.
+    per-subtree signal sits below the estimator noise floor; the
+    ``ablation_threshold`` and ``ablation_estimator_snr`` benchmark
+    scenarios measure the trade-off.
     """
 
     def __init__(self, tree, empty_threshold: float = DEFAULT_EMPTY_THRESHOLD,

@@ -80,7 +80,8 @@ class BSTSampler:
         estimates below ``empty_threshold`` are treated as empty and the
         branch is pruned.  Fast, but when the per-branch signal is below
         the estimator's noise floor (uniformly spread sparse sets — see
-        DESIGN.md) a branch whose estimate happens to clamp to zero is
+        ``docs/algorithms.md``, "Known deviations") a branch whose estimate
+        happens to clamp to zero is
         *never* sampled from.
 
     ``"floored"`` (starvation-free extension)
@@ -298,7 +299,8 @@ class ExactUniformSampler:
 
     The descent sampler's quality is bounded by the intersection
     estimator's noise (Proposition 5.2 requires ``eps(m)`` small, which at
-    practical ``m`` fails for uniformly spread sparse sets — DESIGN.md).
+    practical ``m`` fails for uniformly spread sparse sets — see
+    ``docs/algorithms.md``, "Known deviations").
     This sampler reconstructs the set once per query filter, caches it,
     and then serves exactly uniform draws over ``S u S(B)`` (restricted to
     the tree's candidate space) in O(1) per sample.

@@ -155,16 +155,6 @@ class FilterStore:
         """The raw Bloom filter of a named set."""
         return self._get(name)
 
-    def copy_filter(self, name: str) -> BloomFilter:
-        """A consistent copy of a named filter, taken under the lock.
-
-        Readers that merge filters (the serving workers' union and
-        intersection samples) use this instead of :meth:`filter` so a
-        concurrent ``add_many`` can never be observed half-applied.
-        """
-        with self._lock:
-            return self._get(name).copy()
-
     def _get(self, name: str) -> BloomFilter:
         with self._lock:
             try:

@@ -1,23 +1,15 @@
-"""Experiment harness: regenerates every table and figure of the paper.
+"""Row producers for every table and figure of the paper.
 
-``config`` holds the parameter grids (Table 1) and the scale selector
-(``REPRO_SCALE`` env var: ``small`` for CI, ``default`` for laptop runs,
-``full`` for the paper's exact grid); ``runner`` executes sampling /
-reconstruction / pruned-tree trials and returns row dictionaries;
-``tables`` and ``figures`` assemble the paper's specific artefacts; and
-``formatting`` renders rows as aligned ASCII tables.
+``config`` holds the paper's constants (Table 1); ``runner`` executes
+sampling / reconstruction / pruned-tree trials and returns row
+dictionaries; ``tables`` and ``figures`` assemble the paper's specific
+artefacts; and ``formatting`` renders rows as aligned ASCII tables.
 
-The ``benchmarks/`` directory at the repository root contains one
-pytest-benchmark module per paper table/figure, each a thin wrapper over
-this package.
+The ``paper`` scenarios of the benchmark harness (:mod:`repro.bench`,
+``repro bench``) run these producers at a quick and at the paper's full
+scale and check the claims each artefact backs.
 """
 
-from repro.experiments.config import (
-    SCALES,
-    ExperimentScale,
-    current_scale,
-    paper_parameters,
-)
 from repro.experiments.figures import (
     hash_family_rows,
     pruned_namespace_rows,
@@ -43,19 +35,15 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "ExperimentScale",
     "ReconstructionTrial",
-    "SCALES",
     "SamplingTrial",
     "TreeCache",
     "chi_squared_rows",
     "creation_time_rows",
-    "current_scale",
     "format_rows",
     "hash_family_rows",
     "make_query_set",
     "measured_accuracy_rows",
-    "paper_parameters",
     "parameter_rows",
     "pruned_namespace_rows",
     "reconstruction_ops_rows",

@@ -1,121 +1,17 @@
-"""Experiment parameter grids (the paper's Table 1) and run scales.
+"""Constants of the paper's evaluation (Table 1).
 
-The paper's grid: namespace ``M`` in 1e5..1e7, query-set size ``n`` in
-100..50 000, sampling accuracy 0.5..1.0, ``k = 3`` hash functions,
-families Simple / Murmur3 / MD5, 10 000 sampling rounds per cell.
-
-Pure-Python wall-clock cannot absorb the full grid in CI, so benchmarks
-run one of three scales, selected by the ``REPRO_SCALE`` environment
-variable (default ``default``):
-
-``small``
-    seconds-per-benchmark; trend-preserving but tiny (CI smoke).
-``default``
-    minutes for the whole suite; the paper's M=1e5 and 1e6 columns.
-``full``
-    the paper's complete grid including M=1e7 and 50K sets.  Expect
-    hours, exactly like the original evaluation.
+The grids themselves are the ``quick`` and ``full`` parameters of the
+``paper`` scenarios in :mod:`repro.bench.scenarios`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 #: Hash function count used throughout the paper's evaluation.
 PAPER_K = 3
-
-#: The accuracy sweep of every figure's x-axis.
-PAPER_ACCURACIES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 #: Default hash family for quality-sensitive experiments.  The paper's
 #: "Simple" family is kept for the speed comparisons (Fig. 7) and for
 #: HashInvert, but it correlates pathologically with contiguous id runs
-#: (see DESIGN.md), so murmur3 is the default elsewhere.
+#: (see ``docs/algorithms.md``, "Known deviations"), so murmur3 is the
+#: default elsewhere.
 DEFAULT_FAMILY = "murmur3"
-
-
-@dataclass(frozen=True)
-class ExperimentScale:
-    """One run scale: which grid cells to execute and how many rounds."""
-
-    name: str
-    namespace_sizes: tuple[int, ...]
-    set_sizes: tuple[int, ...]
-    accuracies: tuple[float, ...]
-    sampling_rounds: int
-    timing_rounds: int
-    da_rounds: int
-    reconstruction_rounds: int
-    chi_rounds_per_element: int
-    pruned_fractions: tuple[float, ...]
-    pruned_rounds: int
-
-    def set_sizes_for(self, namespace_size: int) -> tuple[int, ...]:
-        """Set sizes applicable to a namespace (n must stay well below M)."""
-        return tuple(n for n in self.set_sizes if n * 10 <= namespace_size)
-
-
-SCALES: dict[str, ExperimentScale] = {
-    "small": ExperimentScale(
-        name="small",
-        namespace_sizes=(100_000,),
-        set_sizes=(100, 1_000),
-        accuracies=(0.5, 0.8, 1.0),
-        sampling_rounds=100,
-        timing_rounds=30,
-        da_rounds=3,
-        reconstruction_rounds=2,
-        chi_rounds_per_element=30,
-        pruned_fractions=(0.1, 0.5, 0.9),
-        pruned_rounds=50,
-    ),
-    "default": ExperimentScale(
-        name="default",
-        namespace_sizes=(100_000, 1_000_000),
-        set_sizes=(100, 1_000, 10_000),
-        accuracies=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        sampling_rounds=400,
-        timing_rounds=100,
-        da_rounds=3,
-        reconstruction_rounds=3,
-        chi_rounds_per_element=130,
-        pruned_fractions=(0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9),
-        pruned_rounds=200,
-    ),
-    "full": ExperimentScale(
-        name="full",
-        namespace_sizes=(100_000, 1_000_000, 10_000_000),
-        set_sizes=(100, 1_000, 10_000, 50_000),
-        accuracies=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        sampling_rounds=10_000,
-        timing_rounds=1_000,
-        da_rounds=10,
-        reconstruction_rounds=5,
-        chi_rounds_per_element=130,
-        pruned_fractions=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-        pruned_rounds=1_000,
-    ),
-}
-
-
-def current_scale() -> ExperimentScale:
-    """The scale selected by ``REPRO_SCALE`` (default ``default``)."""
-    name = os.environ.get("REPRO_SCALE", "default").lower()
-    if name not in SCALES:
-        raise ValueError(
-            f"REPRO_SCALE={name!r}; expected one of {sorted(SCALES)}"
-        )
-    return SCALES[name]
-
-
-def paper_parameters() -> dict:
-    """The paper's defaults (Table 1), for reference and tests."""
-    return {
-        "namespace_size": 10_000_000,
-        "set_size": 1_000,
-        "accuracy": 0.9,
-        "k": PAPER_K,
-        "families": ("simple", "murmur3", "md5"),
-        "sampling_rounds": 10_000,
-    }

@@ -1,8 +1,8 @@
 """Row producers for the paper's Tables 2-6.
 
 Each function returns ``list[dict]`` rows printable with
-:func:`repro.experiments.formatting.format_rows`; the matching
-``benchmarks/bench_table*.py`` modules are thin wrappers.
+:func:`repro.experiments.formatting.format_rows`; the ``paper_table*``
+scenarios of :mod:`repro.bench` run them and check their claims.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from repro.experiments.runner import TreeCache, make_query_set
 from repro.utils.rng import ensure_rng
 
 #: Paper reference values for Tables 2 and 3 (accuracy -> m), used by
-#: tests/EXPERIMENTS.md to verify the parameter planner reproduces them.
+#: the tests and the ``paper_table2_table3_parameters`` scenario to
+#: verify the parameter planner reproduces them.
 PAPER_TABLE2_M = {0.5: 28465, 0.6: 32808, 0.7: 38259, 0.8: 46000,
                   0.9: 60870, 1.0: 137230}
 PAPER_TABLE3_M = {0.5: 63120, 0.6: 72475, 0.7: 84215, 0.8: 101090,
@@ -101,7 +102,8 @@ def chi_squared_rows(
 
     ``samplers`` selects which implementations to test: ``descent`` is the
     paper's Algorithm 1 (whose uniformity is limited by the intersection
-    estimator's noise floor — see DESIGN.md), ``exact`` is the
+    estimator's noise floor — see ``docs/algorithms.md``, "Known
+    deviations"), ``exact`` is the
     reconstruct-then-choose extension that is uniform by construction.
     """
     rows = []

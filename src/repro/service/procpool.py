@@ -148,6 +148,10 @@ WORKER_WAL_DIR = "wal-workers"
 #: How long to wait for a spawned worker to attach and report ready.
 _READY_TIMEOUT_S = 60.0
 
+#: Consecutive respawns that exit before attaching, after which the pool
+#: leaves the worker down instead of retrying a failing attach forever.
+_MAX_FAILED_RESPAWNS = 3
+
 #: Response-pump poll interval; also bounds death-detection latency.
 _PUMP_POLL_S = 0.05
 
@@ -438,16 +442,9 @@ def _run_single(db: BloomDB, msg: dict, respond) -> None:
         if op == "contains":
             payload = {"contains": db.contains(names[0], int(msg["x"]))}
         else:
-            if not names:
-                raise ValueError("need at least one set name")
-            merged = db.store.copy_filter(names[0])
-            for name in names[1:]:
-                if op == "sample_union":
-                    merged.union_update(db.store.copy_filter(name))
-                else:
-                    merged = merged.intersection(db.store.copy_filter(name))
-            payload = encode_result(
-                db.store.sample_filter(merged, rng=int(msg["seed"])))
+            sample = (db.store.sample_union if op == "sample_union"
+                      else db.store.sample_intersection)
+            payload = encode_result(sample(names, rng=int(msg["seed"])))
     except Exception as exc:  # noqa: BLE001 - marshalled to parent
         respond((msg["id"], False, _encode_error(exc)))
         return
@@ -592,7 +589,9 @@ class _WorkerHandle:
     ``epoch``, ``gen``); ``pipe_torn`` is set when a submit finds the
     request queue torn down — routing skips such a worker, and the
     supervisor kills it so the respawn gets fresh queues.  ``awaited``
-    marks a spawn whose death before ready is its caller's error.
+    marks a spawn whose death before ready is its caller's error;
+    ``failed_respawns`` counts the respawns before it that never
+    ``attached`` (posted their ready message).
     """
 
     def __init__(self, shard_id: int, ctx, queue_depth: int):
@@ -610,6 +609,8 @@ class _WorkerHandle:
         self.gen = None
         self.pipe_torn = False
         self.awaited = False
+        self.attached = False
+        self.failed_respawns = 0
 
     def routable(self) -> bool:
         """Attached, pipe intact and alive: can take a read right now."""
@@ -935,6 +936,7 @@ class ProcessShardPool:
             elif rid == -1:
                 self._note_status(handle, payload)
                 handle.awaited = False
+                handle.attached = True
                 handle.ready.set()
             elif handle.stop_requested or self._stopping:  # -2: drained
                 return
@@ -996,6 +998,9 @@ class ProcessShardPool:
         :class:`WorkerDiedError` (503) rather than hanging.  Queueing
         under the in-flight lock means the next worker's death handler
         finds the read, or ran first and left that worker unroutable.
+
+        After :data:`_MAX_FAILED_RESPAWNS` respawns in a row that never
+        attached, the worker stays down: unroutable, and not ready.
         """
         shard = handle.shard_id
         doomed = []
@@ -1023,12 +1028,18 @@ class ProcessShardPool:
                     f"the pool is respawning it — retry"))
         self.metrics.inc("worker_deaths")
         handle.discard_queues()
+        failed = 0 if handle.attached else handle.failed_respawns + 1
+        if failed >= _MAX_FAILED_RESPAWNS:
+            _log.error("worker_respawn_abandoned", worker=shard,
+                       failed_respawns=failed, restarts=handle.restarts)
+            return
         with self._respawn_lock:
             if self._stopping:
                 return
             replacement = _WorkerHandle(shard, self._ctx,
                                         self.policy.queue_depth)
             replacement.restarts = handle.restarts + 1
+            replacement.failed_respawns = failed
             self._workers[shard] = replacement
             self._spawn(replacement)
         self.metrics.inc("worker_restarts")

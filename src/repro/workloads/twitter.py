@@ -6,7 +6,8 @@ hashtags with >= 1000 occurrences whose tweeting-user sets form the query
 Bloom filters.
 
 We cannot ship that crawl, so this module synthesises a dataset with the
-same *shape* (see DESIGN.md, substitutions): a configurable namespace,
+same *shape* (see ``docs/algorithms.md``, "Known deviations"): a
+configurable namespace,
 user ids occupying a configurable fraction of it — placed uniformly or
 clustered (Twitter ids are allocated roughly sequentially, so real ids
 cluster into dense ranges) — and hashtag audiences with Zipf-distributed

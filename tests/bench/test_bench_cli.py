@@ -5,6 +5,7 @@ cache-hit on the second invocation, and schema validity of the emitted
 ``BENCH_*.json`` files.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -12,10 +13,18 @@ import pytest
 from repro.__main__ import main
 from repro.bench import (
     BENCH_FILES,
+    HISTORY_FILE,
     SCHEMA_VERSION,
     SCENARIOS,
     BenchRunner,
+    load_history,
     validate_payload,
+)
+from repro.bench.collectors import (
+    run_reconstruction,
+    run_sampling,
+    run_serving,
+    run_write_churn,
 )
 from repro.bench.scenarios import Scenario
 from repro.bench.runner import _fingerprint
@@ -26,6 +35,7 @@ TINY = Scenario(
     kind="sampling",
     title="tiny smoke scenario (tests only)",
     maps_to="n/a",
+    collector=run_sampling,
     quick=dict(namespace=2_000, set_size=50, num_sets=2, family="murmur3",
                tree="static", accuracy=0.9, seed=1, workload_seed=2,
                queries=200, loop_queries=40, scalar_loop_queries=20),
@@ -39,6 +49,7 @@ TINY_RECON = Scenario(
     kind="reconstruction",
     title="tiny reconstruction scenario (tests only)",
     maps_to="n/a",
+    collector=run_reconstruction,
     quick=dict(namespace=2_000, set_size=50, num_sets=2, family="murmur3",
                tree="static", accuracy=0.9, seed=1, workload_seed=2,
                repeats=1, scalar_repeats=1, scalar_sets=1),
@@ -52,6 +63,7 @@ TINY_SERVE = Scenario(
     kind="serving",
     title="tiny serving scenario (tests only)",
     maps_to="n/a",
+    collector=run_serving,
     quick=dict(namespace=2_000, set_size=50, num_sets=2, family="murmur3",
                tree="static", accuracy=0.9, seed=1, workload_seed=2,
                shards=2, requests=40, rounds=4, max_batch=64,
@@ -62,12 +74,15 @@ TINY_SERVE = Scenario(
               max_delay_ms=1.0),
 )
 
+TINY_PAPER = dataclasses.replace(  # analytic: milliseconds
+    SCENARIOS["paper_table2_table3_parameters"], name="tiny_paper")
+
 
 @pytest.fixture()
 def tiny_registry(monkeypatch):
-    """Swap the scenario registry for the three tiny test scenarios."""
-    registry = {TINY.name: TINY, TINY_RECON.name: TINY_RECON,
-                TINY_SERVE.name: TINY_SERVE}
+    """Swap the scenario registry for one tiny scenario per kind."""
+    registry = {scenario.name: scenario
+                for scenario in (TINY, TINY_RECON, TINY_SERVE, TINY_PAPER)}
     monkeypatch.setattr("repro.bench.runner.SCENARIOS", registry)
     monkeypatch.setattr("repro.bench.scenarios.SCENARIOS", registry)
     return registry
@@ -78,7 +93,7 @@ class TestBenchRunner:
         runner = BenchRunner(cache_dir=tmp_path / "cache",
                              output_dir=tmp_path, quick=True)
         payloads = runner.run()
-        assert set(payloads) == {"sampling", "reconstruction", "serving"}
+        assert set(payloads) == set(BENCH_FILES)
         for kind, filename in BENCH_FILES.items():
             path = tmp_path / filename
             assert path.exists(), filename
@@ -126,16 +141,26 @@ class TestBenchRunner:
         runner = BenchRunner(cache_dir=tmp_path / "cache",
                              output_dir=tmp_path, quick=True)
         runner.run(["tiny_smoke"])
-        edited = Scenario(
-            name=TINY.name, kind=TINY.kind, title=TINY.title,
-            maps_to=TINY.maps_to,
-            quick=dict(TINY.quick, queries=300), full=TINY.full,
-        )
-        tiny_registry[TINY.name] = edited
+        tiny_registry[TINY.name] = dataclasses.replace(
+            TINY, quick=dict(TINY.quick, queries=300))
         entry = BenchRunner(cache_dir=tmp_path / "cache",
                             output_dir=tmp_path,
                             quick=True).run(["tiny_smoke"])
         assert not entry["sampling"]["scenarios"]["tiny_smoke"]["cached"]
+
+    def test_source_edit_invalidates_cache(self, tiny_registry, tmp_path,
+                                           monkeypatch):
+        def cached():
+            payloads = BenchRunner(cache_dir=tmp_path / "cache",
+                                   output_dir=tmp_path,
+                                   quick=True).run(["tiny_smoke"])
+            return payloads["sampling"]["scenarios"]["tiny_smoke"]["cached"]
+
+        assert not cached()
+        assert cached()  # unchanged source: a hit
+        monkeypatch.setattr("repro.bench.runner._source_hash",
+                            lambda: "0" * 64)
+        assert not cached()  # changed source: a miss
 
     def test_unknown_scenario_raises(self, tiny_registry, tmp_path):
         runner = BenchRunner(cache_dir=tmp_path / "cache",
@@ -173,7 +198,7 @@ class TestBenchRunner:
 
 class TestBenchHistory:
     def test_run_appends_history_entries(self, tiny_registry, tmp_path):
-        from repro.bench import HISTORY_FILE, HISTORY_SCHEMA, load_history
+        from repro.bench import HISTORY_SCHEMA
 
         runner = BenchRunner(cache_dir=tmp_path / "cache",
                              output_dir=tmp_path, quick=True)
@@ -184,20 +209,25 @@ class TestBenchHistory:
         assert len(history["runs"]) == 2
         first, second = history["runs"]
         assert set(first["scenarios"]) == {"tiny_smoke"}
-        assert set(second["scenarios"]) == {"tiny_smoke", "tiny_recon"}
         # Headline numbers are copied into the trajectory entry.
-        smoke = second["scenarios"]["tiny_smoke"]
+        smoke = first["scenarios"]["tiny_smoke"]
         assert smoke["kind"] == "sampling"
         assert "speedup_batch_vs_scalar_loop" in smoke
-        assert smoke["cached"] is True  # second run served from cache
+        # The second run served tiny_smoke from the cache: not a new run.
+        assert set(second["scenarios"]) == {"tiny_recon"}
         for entry in history["runs"]:
             assert entry["mode"] == "quick"
             assert entry["version"]
 
+    def test_fully_cached_run_appends_nothing(self, tiny_registry, tmp_path):
+        runner = BenchRunner(cache_dir=tmp_path / "cache",
+                             output_dir=tmp_path, quick=True)
+        runner.run(["tiny_smoke", "tiny_recon"])
+        runner.run(["tiny_smoke", "tiny_recon"])
+        assert len(load_history(tmp_path / HISTORY_FILE)["runs"]) == 1
+
     def test_corrupt_history_is_replaced_not_fatal(self, tiny_registry,
                                                    tmp_path):
-        from repro.bench import HISTORY_FILE, load_history
-
         (tmp_path / HISTORY_FILE).write_text("{not json")
         BenchRunner(cache_dir=tmp_path / "cache", output_dir=tmp_path,
                     quick=True).run(["tiny_smoke"])
@@ -320,11 +350,7 @@ class TestSchemaValidation:
         assert any("fingerprint" in e for e in errors)
 
     def test_fingerprint_changes_with_params(self):
-        edited = Scenario(
-            name=TINY.name, kind=TINY.kind, title=TINY.title,
-            maps_to=TINY.maps_to,
-            quick=dict(TINY.quick, queries=999), full=TINY.full,
-        )
+        edited = dataclasses.replace(TINY, quick=dict(TINY.quick, queries=999))
         assert (_fingerprint(TINY, True) != _fingerprint(edited, True))
         assert (_fingerprint(TINY, True) != _fingerprint(TINY, False))
 
@@ -334,6 +360,7 @@ class TestRegisteredScenarios:
         for name, scenario in SCENARIOS.items():
             assert scenario.name == name
             assert scenario.kind in BENCH_FILES
+            assert callable(scenario.collector)
             # Params must be JSON-able (they are fingerprinted).
             json.dumps(scenario.quick)
             json.dumps(scenario.full)
@@ -349,8 +376,8 @@ class TestWriteChurnScenario:
     def test_registered_with_churn_knobs(self):
         scenario = SCENARIOS["write_churn_compiled"]
         assert scenario.kind == "sampling"
+        assert scenario.collector is run_write_churn
         for params in (scenario.quick, scenario.full):
-            assert params["write_churn"] is True
             assert 0.0 < params["churn_fraction"] <= 0.10
             assert params["churn_repeats"] >= 1
             assert params["tree"] == "dynamic"

@@ -132,6 +132,7 @@ class TestRunnerUsesAtomicWrites:
         monkeypatch.setattr(runner_module, "atomic_write_json", spying)
         runner = BenchRunner(cache_dir=tmp_path / "cache",
                              output_dir=tmp_path, quick=True)
-        runner._append_history({})
+        runner._append_history({"sampling": {"scenarios": {"s": {
+            "cached": False, "elapsed_s": 0.1, "result": {}}}}})
         assert any(call.endswith(HISTORY_FILE) for call in calls)
         assert load_history(tmp_path / HISTORY_FILE)["runs"]

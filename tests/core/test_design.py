@@ -36,7 +36,7 @@ class TestAccuracyModel:
             assert m == pytest.approx(paper_m, rel=0.005), accuracy
 
     def test_accuracy_one_is_capped(self):
-        """'Accuracy 1.0' behaves as the 0.99 cap (see DESIGN.md)."""
+        """'Accuracy 1.0' behaves as the 0.99 cap (docs/algorithms.md)."""
         m_one = bloom_size_for_accuracy(1.0, 1000, 10 ** 6, 3)
         m_cap = bloom_size_for_accuracy(0.99, 1000, 10 ** 6, 3)
         assert m_one == m_cap

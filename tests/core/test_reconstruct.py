@@ -41,7 +41,8 @@ class TestThresholded:
 
         Exact recovery is only guaranteed by ``exhaustive=True``; the
         estimator-guided variant can drop elements whose per-subtree
-        signal is below the estimator noise (see DESIGN.md).
+        signal is below the estimator noise (see ``docs/algorithms.md``,
+        "Known deviations").
         """
         result = BSTReconstructor(small_tree).reconstruct(query_filter)
         found = np.isin(secret_set, result.elements).mean()

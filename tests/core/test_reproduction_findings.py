@@ -1,7 +1,8 @@
 """Regression tests encoding the reproduction's documented findings.
 
-Each test pins one claim from DESIGN.md sections 4 and 7 so the findings
-stay true as the code evolves (and so a reader can execute the claims).
+Each test pins one finding of ``docs/algorithms.md``, "Known deviations",
+so the findings stay true as the code evolves (and so a reader can
+execute the claims).
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ class TestMemoryAccuracyTradeoff:
 
 
 class TestAffineHashArtifact:
-    """DESIGN.md 7(b): Simple hashes vs contiguous id runs."""
+    """Known deviation: Simple hashes vs contiguous id runs."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -68,8 +69,7 @@ class TestAffineHashArtifact:
 
         At this (test-sized) scale the corruption shows as ~2x the
         murmur3 error — zeroed mid-range estimates plus overshoot on the
-        cluster ranges; at M=1e6 it collapses sampling accuracy to ~0
-        (measured in DESIGN.md section 7b).
+        cluster ranges.
         """
         namespace, params, secret = setup
         murmur_error = self._estimate_quality("murmur3", namespace, params,
@@ -94,7 +94,7 @@ class TestAffineHashArtifact:
 
 class TestAccuracyOneIsCapped:
     def test_finite_m_for_accuracy_one(self):
-        """DESIGN.md section 4: the paper's 'accuracy 1.0' is really 0.99."""
+        """Known deviation: the paper's 'accuracy 1.0' is really 0.99."""
         params = plan_tree(10 ** 6, 1000, 1.0)
         assert params.m == plan_tree(10 ** 6, 1000, 0.99).m
         assert params.m == pytest.approx(137_230, rel=0.005)

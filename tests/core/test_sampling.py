@@ -170,7 +170,8 @@ class TestUniformityStatistics:
         With the whole set inside one leaf the descent is deterministic,
         so the only randomness is the leaf's uniform choice — the
         chi-squared test must pass.  (Cross-leaf proportionality is only
-        (1 +- eps(m))-approximate per Proposition 5.2; see DESIGN.md.)
+        (1 +- eps(m))-approximate per Proposition 5.2; see
+        ``docs/algorithms.md``, "Known deviations".)
         """
         from repro.analysis.uniformity import (chi_squared_uniformity,
                                                sample_counts)

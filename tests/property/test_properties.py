@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the core invariants.
 
-These encode the DESIGN.md invariant list: Bloom filters never produce
+These encode the core invariants: Bloom filters never produce
 false negatives, union is exact, the BloomSampleTree is laminar, weak
 inversion is a true preimage, exhaustive reconstruction equals the
 dictionary attack, and the Fenwick tree matches a list model.

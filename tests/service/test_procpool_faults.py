@@ -166,6 +166,41 @@ class TestFailedStart:
         assert pool.metrics.export()["counters"].get(
             "worker_restarts", {}) == {}
 
+    def test_respawns_that_never_attach_stop_after_three(self, workload,
+                                                         tmp_path):
+        """A worker whose respawns keep exiting before they attach is
+        respawned three times, then left down and unroutable (it used to
+        be respawned once per worker import until stop())."""
+        db = BloomDB.from_config(EngineConfig(
+            namespace_size=NAMESPACE, accuracy=0.9, set_size=150, seed=5,
+            tree="dynamic"))
+        for name, ids in workload:
+            db.add_set(name, ids)
+        pool = ProcessShardPool.from_engine(db, tmp_path / "engine", 1)
+        pool.start()
+        try:
+            (tmp_path / "engine" / "plan.g000000.bst").unlink()
+            pool.kill_worker(0)
+            deadline = time.monotonic() + 4 * _RESPAWN_DEADLINE_S
+            while time.monotonic() < deadline:
+                handle = pool._workers[0]
+                if (handle.restarts >= 3 and not handle.process.is_alive()
+                        and not handle.pump.is_alive()):
+                    break
+                time.sleep(0.05)
+            handle = pool._workers[0]
+            assert handle.restarts == 3
+            assert not handle.pump.is_alive()  # nothing left to respawn
+            assert pool.readyz()["ready"] is False
+            assert pool.readyz()["alive"] == 0
+        finally:
+            pool.stop()
+            pool.close()
+        handle = pool._workers[0]
+        assert handle.restarts == 3
+        assert not handle.process.is_alive()
+        assert not handle.pump.is_alive()
+
 
 class TestDurableDeathAndRecovery:
     def test_kill_nine_then_replay_is_bit_identical(self, tmp_path):

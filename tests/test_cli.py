@@ -25,15 +25,6 @@ class TestPlan:
         assert depth_of(deep) > depth_of(shallow)
 
 
-class TestPaperTables:
-    def test_prints_both_tables(self, capsys):
-        assert main(["paper-tables"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-        assert "Table 3" in out
-        assert "137231" in out or "137230" in out  # accuracy-1.0 row
-
-
 class TestDemo:
     def test_runs_end_to_end(self, capsys):
         assert main(["demo", "--namespace", "5000", "--set-size", "100"]) == 0
